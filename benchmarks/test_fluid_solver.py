@@ -12,8 +12,8 @@ the identical workloads for the committed ``BENCH_*.json`` baselines.
   flat as components are added.
 * ``test_fluid_wide_component_resolve`` (PR 8 tentpole): one wide
   fabric component re-solved repeatedly under trunk-capacity wiggles —
-  the regime the vectorized component solve and the dirty-component
-  memo target.
+  the regime the lazy-refresh kernel and the dirty-component memo
+  (which carries the kernel's row layout) target.
 * ``test_fluid_tiny_components`` (PR 9 tentpole): 1–2-flow component
   churn — the closed-form small-component fast path.
 * ``test_sampler_dense`` (PR 9 tentpole): dense periodic sampling

@@ -26,28 +26,28 @@ The model is event-driven, and rate recomputation is *incremental*:
 flows and resources form a bipartite graph, and a start / stop / demand
 / capacity event only re-solves the connected component of flows that
 (transitively) share a resource with the changed flow.  Flows in other
-components keep their rates untouched — progressive filling restricted
-to a component freezes its flows in exactly the same order as a global
-pass would, so the allocation (and its floating-point rounding) is the
-one a full recompute produces.  See "Fluid solver internals" in
-DESIGN.md for the invariants this relies on.
+components keep their rates untouched: weighted max-min fairness
+factorises over components, so the allocation is the one a from-scratch
+solve of each component produces (to the last bit unless one event's
+dirty set spans several components, which are then solved together).
+See "Fluid solver internals" in DESIGN.md for the invariants this
+relies on.
 
-Large components solve on a *vectorized* path: the first repeat solve
-of a given component membership freezes its flow×resource incidence
-into a :class:`_ComponentPlan` of numpy arrays, and progressive filling
-runs as batched row operations instead of dict-of-set scans.  The
-vector path is an arithmetic twin of the scalar one — same operand
-order, same tie-breaking — so seeded runs are bit-identical whichever
-path solves a component (see DESIGN.md §4.1).
+Components of ``_KERNEL_MIN`` or more flows solve on a lazy-refresh
+kernel: each resource keeps its water-level denominator until a freeze
+touches it, and the bottleneck pass only visits the resources that can
+bind.  It performs the same float operations on the same operands in
+the same order as the dict-based reference solver, so seeded runs are
+bit-identical whichever path solves a component (see DESIGN.md §4.1).
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
 
 from repro.obs import context as _obs_context
 from repro.sim import invariants as _inv
@@ -63,15 +63,10 @@ _REL_TOL = 1e-9
 # attrgetter beats a lambda at these call counts).
 _SEQ_KEY = attrgetter("_seq")
 
-# Components below this many flows solve on the scalar path: numpy's
-# per-op dispatch overhead (~1–2 µs) swamps the win on small arrays,
-# and the figures' components are mostly single-digit.  Tests pin
-# ``FluidNetwork._vec_min`` to force either path.
-_VEC_MIN = 32
-
-# Component-plan cache bound; cleared wholesale on overflow (plans are
-# cheap to rebuild and the cache is hot for a handful of memberships).
-_PLAN_CACHE_MAX = 256
+# Components of at least this many flows solve on the lazy-refresh
+# kernel (_assign_rates_kernel); smaller ones on the list-based
+# _assign_rates_small, which beats the kernel's bookkeeping there.
+_KERNEL_MIN = 33
 
 
 class Resource:
@@ -80,8 +75,9 @@ class Resource:
     __slots__ = ("name", "_capacity", "network")
 
     def __init__(self, name: str, capacity: float):
-        if capacity <= 0:
-            raise ValueError(f"resource {name!r} capacity must be > 0")
+        if not 0 < capacity < math.inf:
+            raise ValueError(
+                f"resource {name!r} capacity must be finite and > 0")
         self.name = name
         self._capacity = float(capacity)
         self.network: Optional["FluidNetwork"] = None
@@ -93,8 +89,8 @@ class Resource:
     def set_capacity(self, capacity: float) -> None:
         """Change the capacity (e.g. uncore frequency change); triggers a
         rate recomputation of this resource's connected component."""
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
+        if not 0 < capacity < math.inf:
+            raise ValueError("capacity must be finite and > 0")
         self._capacity = float(capacity)
         if self.network is not None:
             self.network.update(self)
@@ -151,13 +147,13 @@ class Flow:
         # Dedupe the path while preserving first-occurrence order
         # (resources hash by identity, so dict.fromkeys is an id-dedup).
         self.resources: Tuple[Resource, ...] = tuple(dict.fromkeys(resources))
-        if size is not None and size < 0:
-            raise ValueError("flow size must be >= 0")
+        if size is not None and not 0 <= size < math.inf:
+            raise ValueError("flow size must be finite and >= 0")
         if not self.resources and not math.isfinite(demand):
             raise ValueError("a flow with an empty path needs a finite demand")
-        if weight <= 0:
-            raise ValueError("flow weight must be > 0")
-        if demand <= 0:
+        if not 0 < weight < math.inf:
+            raise ValueError("flow weight must be finite and > 0")
+        if not demand > 0:
             raise ValueError("flow demand must be > 0")
         self.size = size
         self.demand = float(demand)
@@ -205,116 +201,75 @@ class Flow:
                 f"remaining={self.remaining})")
 
 
-class _ComponentPlan:
-    """Frozen array layout of one dirty connected component.
+class _Layout:
+    """Row layout of one component for the list-based solvers.
 
-    Built once per distinct component membership (keyed by the flows'
-    activation-sequence tuple) and reused for every subsequent solve of
-    the same component:
-
-    * ``W`` — resources × flows matrix of cached ``weight · usage``
-      products (the water-level denominators are left-to-right sums of
-      its rows over the still-unfixed columns);
-    * ``M`` — boolean membership matrix (``usage`` may be 0, which
-      zeroes the product but keeps the flow on the resource);
-    * per-flow path index/usage arrays for the residual-capacity
-      subtraction of :meth:`FluidNetwork._fix_vec`.
-
-    Everything baked in is immutable for the key's lifetime: sequence
-    numbers are never reused, and a flow's path, weight and usage
-    multipliers are fixed at construction.  Demands and capacities can
-    change between solves, so those are re-gathered per solve.
-
-    Flow columns are in activation (``_seq``) order and resources in
-    first-touch order — exactly the iteration orders of the scalar
-    solver, so freeze order and rounding match it bitwise.
+    Rows are the component's resources in first-touch order, and each
+    row lists its members as ``(flow slot, weight·usage)`` pairs in
+    activation order; each flow slot lists its path as ``(row,
+    usage)`` pairs.  These are the scalar reference's dict iteration
+    orders, so sums and debits see the same operands in the same order.
+    ``denoms`` holds each row's left-to-right sum over all its members,
+    the kernel's first-round denominator.  Nothing here changes while the
+    membership holds (paths, weights and usage multipliers are fixed at
+    flow construction); demands and capacities are read live on every
+    solve.
     """
 
-    __slots__ = ("flows", "empty", "resources", "W", "M", "weights",
-                 "weights_l", "paths")
+    __slots__ = ("flows", "empty", "resources", "members", "paths",
+                 "weights", "denoms")
 
     def __init__(self, dirty: Sequence[Flow]):
-        empty: List[Flow] = []
-        flows: List[Flow] = []
-        for f in dirty:
-            (flows if f.resources else empty).append(f)
-        self.empty = tuple(empty)
-        self.flows = tuple(flows)
-        res_index: Dict[Resource, int] = {}
-        resources: List[Resource] = []
-        for f in flows:
-            for res in f.resources:
-                if res not in res_index:
-                    res_index[res] = len(resources)
-                    resources.append(res)
-        self.resources = tuple(resources)
-        nf = len(flows)
-        nr = len(resources)
-        W = np.zeros((nr, nf))
-        M = np.zeros((nr, nf), dtype=bool)
-        # Per-flow path as (resource index, usage) pairs for the
-        # residual-capacity debit of _fix_vec.  Plain Python pairs on
-        # purpose: the debit is sequential by construction (its
-        # rounding is order-dependent), so per-element numpy indexing
-        # would only add dispatch overhead to an O(path) scalar loop.
-        paths: List[Tuple[Tuple[int, float], ...]] = []
-        for j, f in enumerate(flows):
-            w = f.weight
-            path: List[Tuple[int, float]] = []
-            for res, wu in zip(f.resources, f._usages):
-                i = res_index[res]
-                W[i, j] = w * wu
-                M[i, j] = True
-                path.append((i, wu))
-            paths.append(tuple(path))
-        self.W = W
-        self.M = M
-        self.weights = np.array([f.weight for f in flows])
-        self.weights_l = [f.weight for f in flows]
-        self.paths = paths
-
-
-class _SmallPlan:
-    """Cached list layout of a sub-``_vec_min`` component.
-
-    The small-component solver's per-solve cost is dominated by
-    rebuilding its resource table and member/path lists; all of that is
-    immutable for a given membership (seqs are never reused, paths,
-    weights and usage multipliers are fixed at flow construction), so
-    it is built once per ``_comp_cache`` key.  Demands and capacities
-    are re-read each solve.  Orders (flow slots == activation order,
-    resources == first-touch order, members slot-ordered per resource)
-    mirror the scalar solver's dict iteration orders exactly.
-    """
-
-    __slots__ = ("flows", "empty", "resources", "members", "paths")
-
-    def __init__(self, dirty: Sequence[Flow]):
-        empty: List[Flow] = []
-        flows: List[Flow] = []
-        for f in dirty:
-            (flows if f.resources else empty).append(f)
-        self.empty = tuple(empty)
-        self.flows = tuple(flows)
+        self.empty: List[Flow] = []
+        self.flows = flows = []
+        self.weights = weights = []
         index: Dict[Resource, int] = {}
         resources: List[Resource] = []
         members: List[List[Tuple[int, float]]] = []
-        paths: List[Tuple[Tuple[int, float], ...]] = []
-        for k, flow in enumerate(flows):
+        denoms: List[float] = []
+        paths: List[List[Tuple[int, float]]] = []
+        for flow in dirty:
+            if not flow.resources:
+                self.empty.append(flow)
+                continue
+            k = len(flows)
+            flows.append(flow)
             weight = flow.weight
+            weights.append(weight)
             path: List[Tuple[int, float]] = []
             for res, wu in zip(flow.resources, flow._usages):
                 i = index.get(res)
+                prod = weight * wu
                 if i is None:
                     i = index[res] = len(resources)
                     resources.append(res)
-                    members.append([])
-                members[i].append((k, weight * wu))
+                    members.append([(k, prod)])
+                    denoms.append(prod)
+                else:
+                    members[i].append((k, prod))
+                    denoms[i] += prod
                 path.append((i, wu))
-            paths.append(tuple(path))
-        self.resources = tuple(resources)
-        self.members = tuple(tuple(m) for m in members)
-        self.paths = tuple(paths)
+            paths.append(path)
+        self.resources = resources
+        self.members = members
+        self.denoms = denoms
+        self.paths = paths
+
+
+class _Component:
+    """A dirty connected component: its flows in activation order and,
+    once a kernel solve has built it, their :class:`_Layout`.
+
+    Single-seed components are memoised in
+    :attr:`FluidNetwork._dirty_cache`, so the layout lives exactly as
+    long as that entry: until the next start or stop.
+    """
+
+    __slots__ = ("flows", "layout")
+
+    def __init__(self, flows: List[Flow]):
+        self.flows = flows
+        self.layout: Optional[_Layout] = None
 
 
 class FluidNetwork:
@@ -343,19 +298,12 @@ class FluidNetwork:
         self._res_flows: Dict[Resource, Dict[Flow, None]] = {}
         self._next_seq = 0
         self._n_solves = 0  # rate solves, for invariant-check sampling
-        # Component-plan cache: activation-seq tuple -> _ComponentPlan,
-        # or None for a membership seen exactly once (see the warm-up
-        # note in _assign_rates).  Seqs are never reused, so entries
-        # can never alias a different membership.
-        self._comp_cache: Dict[Tuple[int, ...],
-                               Optional[_ComponentPlan]] = {}
-        self._vec_min = _VEC_MIN  # tests pin this to force either path
-        self._plan_warmup = True  # tests clear to build plans eagerly
         # Single-seed dirty-component memo, cleared on any adjacency
         # change (start/stop).  Demand and capacity updates re-solve
-        # the same membership over and over; the graph traversal (and
-        # its activation-order sort) is pure overhead for those.
-        self._dirty_cache: Dict[object, List[Flow]] = {}
+        # the same membership over and over; the graph traversal, its
+        # activation-order sort and the kernel's row layout are pure
+        # overhead for those.
+        self._dirty_cache: Dict[object, _Component] = {}
         # Same-instant scan memos.  ``None`` means the next finished
         # scan / completion-reschedule pass must cover every flow;
         # a dict restricts it to the flows whose rate (or existence)
@@ -439,7 +387,7 @@ class FluidNetwork:
     def set_demand(self, flow: Flow, demand: float) -> None:
         """Change an *active* flow's demand cap and recompute the rates
         of its connected component."""
-        if demand <= 0:
+        if not demand > 0:
             raise ValueError("demand must be > 0")
         if not flow._active:
             raise SimulationError(
@@ -507,7 +455,7 @@ class FluidNetwork:
                     del res_flows[res]
 
     def _dirty_component(self, seed_flows: Sequence[Flow],
-                         seed_resources: Sequence[Resource]) -> List[Flow]:
+                         seed_resources: Sequence[Resource]) -> _Component:
         """Flows (transitively) sharing a resource with the seeds.
 
         Traverses the flow↔resource adjacency and returns the union of
@@ -517,9 +465,9 @@ class FluidNetwork:
         Single-seed queries (a capacity or demand update) are memoized
         until the next adjacency change: the component of a given seed
         cannot change while no flow starts or stops, so repeated
-        updates of the same knob skip both the traversal and the
-        activation-order sort.  Callers treat the returned list as
-        read-only.
+        updates of the same knob skip the traversal, the
+        activation-order sort and the kernel's layout build.  Callers
+        treat the returned flow list as read-only.
         """
         # Callers pass lists/tuples (sized), so the single-seed probe
         # is two len() calls on the miss path.
@@ -554,9 +502,9 @@ class FluidNetwork:
                         if r not in seen_res:
                             res_stack.append(r)
         if len(dirty) <= 1:
-            component = list(dirty)
+            component = _Component(list(dirty))
         else:
-            component = sorted(dirty, key=_SEQ_KEY)
+            component = _Component(sorted(dirty, key=_SEQ_KEY))
         if key is not None:
             self._dirty_cache[key] = component
         return component
@@ -595,10 +543,11 @@ class FluidNetwork:
             # to zero and must still be re-sampled by telemetry).
             for res in pending_res:
                 touched[res] = None
-            dirty = self._dirty_component(pending_flows, pending_res)
+            component = self._dirty_component(pending_flows, pending_res)
+            dirty = component.flows
             pending_flows = []
             pending_res = []
-            self._assign_rates(dirty, touched)
+            self._assign_rates(component, touched)
             # Freshly solved flows are the only ones whose finish
             # predicate or completion time can move at this instant.
             scan_cands = self._scan_candidates
@@ -672,92 +621,50 @@ class FluidNetwork:
             return remaining <= flow.rate * time_floor
         return False
 
-    def _assign_rates(self, dirty: List[Flow],
+    def _assign_rates(self, component: _Component,
                       touched: Dict[Resource, None]) -> None:
         """Weighted max-min fair allocation via progressive filling,
-        restricted to the *dirty* component(s).
+        restricted to the dirty *component*.
 
-        Dispatches on component size: large components run the
-        vectorized solver over a cached :class:`_ComponentPlan`, small
-        ones the scalar reference.  The two are arithmetic twins —
-        every sum, product, comparison and clamp happens in the same
-        order with the same operands — so the choice never changes a
+        Dispatches on component size: the closed forms for one and two
+        flows, :meth:`_assign_rates_small` below ``_KERNEL_MIN`` flows
+        and :meth:`_assign_rates_kernel` from there on.  Every path
+        performs the scalar reference's float operations on the same
+        operands in the same order, so the choice never changes a
         single bit of the resulting rates.
         """
+        dirty = component.flows
         n = len(dirty)
-        if n < self._vec_min:
-            if n == 0:
-                return None
-            if n == 1:
-                return self._assign_rates_one(dirty[0], touched)
-            if n == 2:
-                return self._assign_rates_two(dirty, touched)
-        key = tuple(f._seq for f in dirty)
-        cache = self._comp_cache
-        plan = cache.get(key, False)
-        if plan is False and self._plan_warmup:
-            # First sighting of this membership: solve without a plan
-            # and only mark the key.  Churn-once components (a burst of
-            # starts that never re-solves the same membership) never pay
-            # for a plan build; the second solve does, and every one
-            # after that amortizes it.
-            if len(cache) >= _PLAN_CACHE_MAX:
-                cache.clear()
-            cache[key] = None
-            if n < self._vec_min:
-                return self._assign_rates_small(dirty, touched)
-            return self._assign_rates_scalar(dirty, touched)
-        if not plan:
-            if len(cache) >= _PLAN_CACHE_MAX:
-                cache.clear()
-            plan = cache[key] = (_SmallPlan(dirty) if n < self._vec_min
-                                 else _ComponentPlan(dirty))
-        if type(plan) is _SmallPlan:
-            self._assign_rates_small_plan(touched, plan)
-        else:
-            self._assign_rates_vector(touched, plan)
+        if n >= _KERNEL_MIN:
+            return self._assign_rates_kernel(component, touched)
+        if n > 2:
+            return self._assign_rates_small(dirty, touched)
+        if n == 2:
+            return self._assign_rates_two(dirty, touched)
+        if n == 1:
+            return self._assign_rates_one(dirty[0], touched)
+        return None
 
     def _assign_rates_one(self, flow: Flow,
                           touched: Dict[Resource, None]) -> None:
-        """Closed-form allocation for a single-flow component.
+        """Closed-form allocation for a single flow: a one-flow
+        component, or the only flow with a path in a larger one.
 
         Arithmetic twin of :meth:`_assign_rates_scalar` on a one-flow
         dirty list: the water level collapses to the minimum
-        ``capacity / (weight·usage)`` over the flow's (distinct)
-        resources, compared against the demand with the identical
+        ``capacity / (weight·usage)`` over the flow's (deduplicated)
+        path, compared against the demand with the identical
         ``(1 + _REL_TOL)`` guard, so the resulting rate is bit-equal.
         """
-        if not flow.resources:
-            flow.rate = flow.demand
-            return
-        self._solve_single(flow, touched)
-
-    def _solve_single(self, flow: Flow,
-                      touched: Dict[Resource, None]) -> None:
-        """Rate for one flow with a non-empty path (shared by the 1- and
-        2-flow fast paths).  Duplicate resources in the path keep the
-        scalar solver's dict semantics: the *last* ``weight·usage``
-        product wins."""
         weight = flow.weight
-        index: Dict[Resource, int] = {}
-        res_list: List[Resource] = []
-        prods: List[float] = []
-        for res, wu in zip(flow.resources, flow._usages):
-            i = index.get(res)
-            if i is None:
-                index[res] = len(res_list)
-                res_list.append(res)
-                prods.append(weight * wu)
-                touched[res] = None
-            else:
-                prods[i] = weight * wu
         level = math.inf
-        for i, prod in enumerate(prods):
-            if prod <= 0:
-                continue
-            lvl = res_list[i].capacity / prod
-            if lvl < level:
-                level = lvl
+        for res, wu in zip(flow.resources, flow._usages):
+            touched[res] = None
+            prod = weight * wu
+            if prod > 0:
+                lvl = res._capacity / prod
+                if lvl < level:
+                    level = lvl
         if not math.isfinite(level):
             if not math.isfinite(flow.demand):
                 raise SimulationError(
@@ -790,7 +697,7 @@ class FluidNetwork:
         if not remaining:
             return
         if len(remaining) == 1:
-            return self._solve_single(remaining[0], touched)
+            return self._assign_rates_one(remaining[0], touched)
 
         index: Dict[Resource, int] = {}
         res_list: List[Resource] = []
@@ -897,51 +804,35 @@ class FluidNetwork:
     def _assign_rates_small(self, dirty: List[Flow],
                             touched: Dict[Resource, None]) -> None:
         """List-based progressive filling for mid-size components
-        (``2 < n < _vec_min``, and the 2-flow fallback's peer).
+        (``2 < n < _KERNEL_MIN``).
 
         The dict-of-dicts machinery of :meth:`_assign_rates_scalar`
         dominates its runtime for components of a handful of flows;
         this twin keeps every float operation — denominator summation
         order (slot order == dirty order == fset insertion order),
         freeze order, residual debit order and all ``(1 + _REL_TOL)``
-        guards — bit-identical while replacing the dict churn with
-        parallel lists indexed by flow slot and resource index.
+        guards — bit-identical while replacing the dict churn with the
+        lists of a :class:`_Layout`.  It re-sums every row twice per
+        round, which is cheaper than the kernel's bookkeeping on small
+        components.
         """
-        flows: List[Flow] = []
-        for flow in dirty:
-            if not flow.resources:
-                flow.rate = flow.demand
-            else:
-                flows.append(flow)
+        layout = _Layout(dirty)
+        for flow in layout.empty:
+            flow.rate = flow.demand
+        flows = layout.flows
         n = len(flows)
-        if n == 0:
+        if n < 2:
+            if n:
+                self._assign_rates_one(flows[0], touched)
             return
-        if n == 1:
-            return self._solve_single(flows[0], touched)
-
-        index: Dict[Resource, int] = {}
-        res_list: List[Resource] = []
-        avail: List[float] = []
-        members: List[List[Tuple[int, float]]] = []
-        paths: List[List[Tuple[int, float]]] = []
-        weights: List[float] = []
-        demands: List[float] = []
-        for k, flow in enumerate(flows):
-            weight = flow.weight
-            weights.append(weight)
-            demands.append(flow.demand)
-            path: List[Tuple[int, float]] = []
-            paths.append(path)
-            for res, wu in zip(flow.resources, flow._usages):
-                i = index.get(res)
-                if i is None:
-                    i = index[res] = len(res_list)
-                    res_list.append(res)
-                    avail.append(res.capacity)
-                    members.append([])
-                    touched[res] = None
-                members[i].append((k, weight * wu))
-                path.append((i, wu))
+        res_list = layout.resources
+        for res in res_list:
+            touched[res] = None
+        avail = [res._capacity for res in res_list]
+        members = layout.members
+        paths = layout.paths
+        weights = layout.weights
+        demands = [f.demand for f in flows]
 
         fixed = [False] * n
         n_res = len(res_list)
@@ -1022,113 +913,134 @@ class FluidNetwork:
                         fixed[k] = True
                         unfixed_left -= 1
 
-    def _assign_rates_small_plan(self, touched: Dict[Resource, None],
-                                 plan: _SmallPlan) -> None:
-        """Progressive filling over a cached :class:`_SmallPlan`.
+    def _assign_rates_kernel(self, component: _Component,
+                             touched: Dict[Resource, None]) -> None:
+        """Progressive filling with lazily refreshed row denominators.
 
-        Same float operations as :meth:`_assign_rates_small` (and thus
-        the scalar reference), minus the per-solve rebuild of the
-        resource table and member/path lists.  Only capacities and
-        demands are read live.
+        Exact twin of :meth:`_assign_rates_scalar` for large components,
+        which re-sums every resource's denominator twice per round.
+        Here each row (resource) keeps its denominator and its ratio
+        ``avail / denom``; both stay valid until a freeze touches the
+        row, which only marks it stale:
+
+        * A stale row is re-summed left to right over its unfixed
+          members (activation order), so the denominator has exactly
+          the scalar solver's operands.  That happens when the
+          bottleneck walk reaches the row or at the start of the next
+          round, at most once per pass each.
+        * The level is the minimum ratio, as in the scalar pass.
+        * The bottleneck walk visits rows in increasing index order:
+          those whose ratio is within ``level·(1+tol)`` at the start
+          of the pass, plus every higher row a freeze in this pass
+          touched.  A row it does not visit started above the guard
+          and was not touched before the walk passed it, so it holds
+          the operands the scalar solver's in-order sweep recomputes
+          there, and that sweep skips it too.
+        * Residual-capacity debits stay sequential in freeze order.
         """
-        for flow in plan.empty:
+        layout = component.layout
+        if layout is None:
+            layout = component.layout = _Layout(component.flows)
+        for flow in layout.empty:
             flow.rate = flow.demand
-        flows = plan.flows
+        flows = layout.flows
         n = len(flows)
-        if n == 0:
+        if not n:
             return
-        res_list = plan.resources
-        avail = [res.capacity for res in res_list]
+        res_list = layout.resources
         for res in res_list:
             touched[res] = None
-        members = plan.members
-        paths = plan.paths
-        n_res = len(res_list)
+        avail = [res._capacity for res in res_list]
+        paths = layout.paths
+        weights = layout.weights
+        demands = [f.demand for f in flows]
+        inf = math.inf
+        tol = 1 + _REL_TOL
+        members = layout.members
+        ratio = [a / d if d > 0 else inf
+                 for a, d in zip(avail, layout.denoms)]
         fixed = [False] * n
-        unfixed_left = n
+        stale: Set[int] = set()
+        # (ratio, row) entries, pushed on every refresh; an entry is
+        # current while ratio[row] still equals it.
+        by_ratio = [(r, i) for i, r in enumerate(ratio) if r < inf]
+        heapify(by_ratio)
 
-        while unfixed_left:
-            level = math.inf
-            for i in range(n_res):
-                denom = 0.0
-                for k, prod in members[i]:
-                    if not fixed[k]:
-                        denom += prod
-                if denom <= 0:
-                    continue
-                lvl = avail[i] / denom
-                if lvl < level:
-                    level = lvl
-            if not math.isfinite(level):
-                for k in range(n):
-                    if fixed[k]:
-                        continue
-                    flow = flows[k]
-                    if not math.isfinite(flow.demand):
+        def refresh(i: int) -> None:
+            d = 0.0
+            for k, prod in members[i]:
+                if not fixed[k]:
+                    d += prod
+            ratio[i] = r = avail[i] / d if d > 0 else inf
+            if r < inf:
+                heappush(by_ratio, (r, i))
+
+        def fix(k: int, rate: float) -> None:
+            flows[k].rate = rate = rate if rate > 0.0 else 0.0
+            fixed[k] = True
+            for i, usage in paths[k]:
+                left = avail[i] - rate * usage
+                avail[i] = left if left > 0.0 else 0.0
+                stale.add(i)
+
+        live = list(range(n))
+        while live:
+            for i in stale:
+                refresh(i)
+            stale.clear()
+            while by_ratio and ratio[by_ratio[0][1]] != by_ratio[0][0]:
+                heappop(by_ratio)
+            level = by_ratio[0][0] if by_ratio else inf
+            if level == inf:
+                # No binding resource: see the scalar reference.
+                for k in live:
+                    if not math.isfinite(demands[k]):
                         raise SimulationError(
-                            f"flow {flow.label!r} has unbounded rate")
-                    rate = flow.demand
-                    flow.rate = rate = rate if rate > 0.0 else 0.0
-                    for i, usage in paths[k]:
-                        left = avail[i] - rate * usage
-                        avail[i] = left if left > 0.0 else 0.0
-                    fixed[k] = True
-                    unfixed_left -= 1
+                            f"flow {flows[k].label!r} has unbounded rate")
+                    fix(k, demands[k])
                 break
 
-            demand_limited = [
-                k for k in range(n)
-                if not fixed[k]
-                and flows[k].demand <= flows[k].weight * level * (1 + _REL_TOL)]
-            if demand_limited:
-                for k in demand_limited:
-                    flow = flows[k]
-                    rate = flow.demand
-                    flow.rate = rate = rate if rate > 0.0 else 0.0
-                    for i, usage in paths[k]:
-                        left = avail[i] - rate * usage
-                        avail[i] = left if left > 0.0 else 0.0
-                    fixed[k] = True
-                    unfixed_left -= 1
+            limited = [k for k in live
+                       if demands[k] <= weights[k] * level * tol]
+            if limited:
+                for k in limited:
+                    fix(k, demands[k])
+                live = [k for k in live if not fixed[k]]
                 continue
 
-            guard = level * (1 + _REL_TOL)
+            guard = level * tol
+            queued = set()
+            while by_ratio and by_ratio[0][0] <= guard:
+                r, i = heappop(by_ratio)
+                if ratio[i] == r:
+                    queued.add(i)
+            walk = sorted(queued)
             froze = False
-            for i in range(n_res):
-                mem = members[i]
-                denom = 0.0
-                for k, prod in mem:
-                    if not fixed[k]:
-                        denom += prod
-                if denom <= 0:
+            while walk:
+                i = heappop(walk)
+                if i in stale:
+                    stale.discard(i)
+                    refresh(i)
+                if ratio[i] > guard:
                     continue
-                if avail[i] / denom <= guard:
-                    for k, _prod in mem:
-                        if not fixed[k]:
-                            flow = flows[k]
-                            rate = flow.weight * level
-                            flow.rate = rate = rate if rate > 0.0 else 0.0
-                            for ii, usage in paths[k]:
-                                left = avail[ii] - rate * usage
-                                avail[ii] = left if left > 0.0 else 0.0
-                            fixed[k] = True
-                            unfixed_left -= 1
-                            froze = True
+                froze = True
+                for k, _prod in members[i]:
+                    if fixed[k]:
+                        continue
+                    fix(k, weights[k] * level)
+                    for j, _usage in paths[k]:
+                        if j > i and j not in queued:
+                            queued.add(j)
+                            heappush(walk, j)
             if not froze:  # pragma: no cover - numerical safety net
-                for k in range(n):
+                for k in live:
                     if not fixed[k]:
-                        flow = flows[k]
-                        rate = flow.weight * level
-                        flow.rate = rate = rate if rate > 0.0 else 0.0
-                        for i, usage in paths[k]:
-                            left = avail[i] - rate * usage
-                            avail[i] = left if left > 0.0 else 0.0
-                        fixed[k] = True
-                        unfixed_left -= 1
+                        fix(k, weights[k] * level)
+            live = [k for k in live if not fixed[k]]
 
     def _assign_rates_scalar(self, dirty: List[Flow],
                              touched: Dict[Resource, None]) -> None:
-        """The dict-based reference solver (pre-vectorization form).
+        """The dict-based reference solver.
 
         All working collections are insertion-ordered dicts-as-sets so
         the freezing order — and with it the floating-point rounding of
@@ -1138,9 +1050,12 @@ class FluidNetwork:
         so the sequence of capacity subtractions on its resources is
         the same one a global pass performs.
 
-        Retained both as the fast path for small components and as the
-        executable reference the sampled invariant check re-solves
-        with (see :meth:`_check_invariants`).
+        Denominators are explicit left-to-right sums: built-in ``sum``
+        of floats is compensated on Python >= 3.12 and would round
+        differently from the fast paths.  Not a dispatch target; it is
+        the executable reference the sampled invariant check re-solves
+        with (see :meth:`_check_invariants`) and the property tests
+        compare against.
         """
         unfixed: Dict[Flow, None] = dict.fromkeys(dirty)
         # Flows with an empty path are only demand-limited.
@@ -1169,7 +1084,9 @@ class FluidNetwork:
             for res, fset in res_flows.items():
                 if not fset:
                     continue
-                denom = sum(fset.values())
+                denom = 0.0
+                for prod in fset.values():
+                    denom += prod
                 if denom <= 0:
                     continue
                 lvl = avail[res] / denom
@@ -1205,7 +1122,9 @@ class FluidNetwork:
             for res, fset in list(res_flows.items()):
                 if not fset:
                     continue
-                denom = sum(fset.values())
+                denom = 0.0
+                for prod in fset.values():
+                    denom += prod
                 if denom <= 0:
                     continue
                 if avail[res] / denom <= level * (1 + _REL_TOL):
@@ -1230,115 +1149,6 @@ class FluidNetwork:
             avail[res] = left if left > 0.0 else 0.0
             res_flows[res].pop(flow, None)
 
-    def _assign_rates_vector(self, touched: Dict[Resource, None],
-                             plan: _ComponentPlan) -> None:
-        """Progressive filling over the component's array layout.
-
-        Arithmetic twin of :meth:`_assign_rates_scalar` (see the
-        dispatch note in :meth:`_assign_rates`): denominators are
-        left-to-right ``np.cumsum`` sums over the ``W`` rows with fixed
-        flows zeroed (adding 0.0 is exact for the non-negative products
-        here), the water level is an order-independent exact ``min``,
-        and the per-flow residual-capacity subtractions of
-        :meth:`_fix_vec` stay sequential in the scalar solver's freeze
-        order — those are the only order-dependent roundings.
-        """
-        for flow in plan.empty:
-            flow.rate = flow.demand
-        for res in plan.resources:
-            touched[res] = None
-        flows = plan.flows
-        nf = len(flows)
-        if not nf:
-            return
-        demand_l = [f.demand for f in flows]
-        demand = np.array(demand_l)
-        weights_l = plan.weights_l
-        W = plan.W
-        M = plan.M
-        # Residual capacities live in a plain Python list: the debits
-        # of _fix_vec are sequential scalar float ops (order-dependent
-        # rounding — the bit-identity constraint), and list indexing
-        # beats numpy scalar indexing severalfold there.  The array
-        # view is materialized once per water level below.
-        avail_l = [r._capacity for r in plan.resources]
-        active = np.ones(nf, dtype=bool)
-        n_active = nf
-        one_rel = 1.0 + _REL_TOL
-        while n_active:
-            denom = np.cumsum(W * active, axis=1)[:, -1]
-            pos = denom > 0.0
-            if pos.any():
-                avail = np.array(avail_l)
-                level = float((avail[pos] / denom[pos]).min())
-            else:
-                level = math.inf
-            if not math.isfinite(level):
-                # No binding resource left: remaining flows must be
-                # demand-limited.  Fix in activation order, raising at
-                # the first unbounded flow exactly like the scalar.
-                for j in np.nonzero(active)[0].tolist():
-                    d = demand_l[j]
-                    if not math.isfinite(d):
-                        raise SimulationError(
-                            f"flow {flows[j].label!r} has unbounded rate")
-                    self._fix_vec(plan, j, d, avail_l, active)
-                break
-
-            # Demand-limited flows below the water level freeze first.
-            limited = active & (demand <= plan.weights * level * one_rel)
-            if limited.any():
-                fixed = np.nonzero(limited)[0].tolist()
-                for j in fixed:
-                    self._fix_vec(plan, j, demand_l[j], avail_l, active)
-                n_active -= len(fixed)
-                continue
-
-            # Otherwise freeze every flow crossing a bottleneck
-            # resource, re-deriving each row's denominator after the
-            # freezes of earlier rows in this same pass.
-            threshold = level * one_rel
-            froze = 0
-            for i in range(len(plan.resources)):
-                members = M[i] & active
-                if not members.any():
-                    continue
-                denom_i = np.cumsum(W[i] * members)[-1]
-                if denom_i <= 0.0:
-                    continue
-                if avail_l[i] / denom_i <= threshold:
-                    for j in np.nonzero(members)[0].tolist():
-                        self._fix_vec(plan, j, weights_l[j] * level,
-                                      avail_l, active)
-                        froze += 1
-            if froze:
-                n_active -= froze
-            else:  # pragma: no cover - numerical safety net
-                for j in np.nonzero(active)[0].tolist():
-                    self._fix_vec(plan, j, weights_l[j] * level,
-                                  avail_l, active)
-                n_active = 0
-
-    @staticmethod
-    def _fix_vec(plan: _ComponentPlan, j: int, rate: float,
-                 avail_l: List[float], active: np.ndarray) -> None:
-        """Freeze plan flow *j* at *rate* and debit its path's capacity
-        (same clamp and operand order as :meth:`_fix`).
-
-        The debit loop is scalar Python over the plan's ``(resource
-        index, usage)`` pairs and a plain-list ``avail_l``: its
-        rounding is order-dependent (that is the whole bit-identity
-        constraint), so it cannot be batched, and numpy indexing would
-        only add dispatch overhead to scalar float arithmetic that is
-        already bit-exact against the scalar solver's dicts.
-        """
-        r = rate if rate > 0.0 else 0.0
-        plan.flows[j].rate = r
-        for i, u in plan.paths[j]:
-            left = avail_l[i] - r * u
-            avail_l[i] = left if left > 0.0 else 0.0
-        active[j] = False
-
     # -- runtime self-checks (--check-invariants) --------------------------
     def _component_of(self, flow: Optional[Flow] = None,
                       resource: Optional[Resource] = None) -> str:
@@ -1347,7 +1157,7 @@ class FluidNetwork:
         diagnostics."""
         comp = self._dirty_component(
             (flow,) if flow is not None else (),
-            (resource,) if resource is not None else ())
+            (resource,) if resource is not None else ()).flows
         labels = [f.label or "anon" for f in comp]
         shown = ", ".join(labels[:6])
         if len(labels) > 6:
@@ -1362,52 +1172,24 @@ class FluidNetwork:
         non-negative and demand-capped, and no resource's capacity is
         exceeded (computed from :meth:`Flow.usage_on`, *not* the cache,
         so a corrupted cache is caught by the first check rather than
-        masked).  Every ``SAMPLE_EVERY``-th solve additionally re-runs
-        progressive filling globally and cross-checks every active
-        flow's rate **bitwise** — the incremental dirty-component
-        invariant of DESIGN.md made executable.
+        masked).  Every ``SAMPLE_EVERY``-th solve additionally runs
+        :meth:`_cross_check` against the scalar reference.
         """
         self._n_solves += 1
         if _obs_context._ACTIVE is not None:
             _obs_context._ACTIVE.on_invariant_check()
-        n = len(dirty)
-        if n >= self._vec_min:
-            # Batched form of the per-flow checks below, so the guard
-            # stays affordable on the components the vectorized solver
-            # targets.  The per-flow loops only run to name a culprit.
-            rates = np.fromiter((f.rate for f in dirty), float, n)
-            demands = np.fromiter((f.demand for f in dirty), float, n)
-            if (~np.isfinite(rates) | (rates < 0.0)).any():
-                for flow in dirty:
-                    rate = flow.rate
-                    if not math.isfinite(rate) or rate < 0.0:
-                        self._violation(
-                            f"flow {flow.label or 'anon'!r} has invalid "
-                            f"rate {rate!r} in "
-                            f"{self._component_of(flow=flow)}")
-            if (rates > demands * (1.0 + _REL_TOL)).any():
-                for flow in dirty:
-                    if flow.rate > flow.demand * (1.0 + _REL_TOL):
-                        self._violation(
-                            f"flow {flow.label or 'anon'!r} rate "
-                            f"{flow.rate!r} exceeds its demand cap "
-                            f"{flow.demand!r} in "
-                            f"{self._component_of(flow=flow)}")
-            for flow in dirty:
-                self._check_usage_cache(flow)
-        else:
-            for flow in dirty:
-                self._check_usage_cache(flow)
-                rate = flow.rate
-                if not math.isfinite(rate) or rate < 0.0:
-                    self._violation(
-                        f"flow {flow.label or 'anon'!r} has invalid rate "
-                        f"{rate!r} in {self._component_of(flow=flow)}")
-                if rate > flow.demand * (1.0 + _REL_TOL):
-                    self._violation(
-                        f"flow {flow.label or 'anon'!r} rate {rate!r} "
-                        f"exceeds its demand cap {flow.demand!r} in "
-                        f"{self._component_of(flow=flow)}")
+        for flow in dirty:
+            self._check_usage_cache(flow)
+            rate = flow.rate
+            if not math.isfinite(rate) or rate < 0.0:
+                self._violation(
+                    f"flow {flow.label or 'anon'!r} has invalid rate "
+                    f"{rate!r} in {self._component_of(flow=flow)}")
+            if rate > flow.demand * (1.0 + _REL_TOL):
+                self._violation(
+                    f"flow {flow.label or 'anon'!r} rate {rate!r} "
+                    f"exceeds its demand cap {flow.demand!r} in "
+                    f"{self._component_of(flow=flow)}")
         seen_res: Set[Resource] = set()
         for flow in dirty:
             for res in flow.resources:
@@ -1422,22 +1204,83 @@ class FluidNetwork:
                         f"{used!r} > {res.capacity!r} in "
                         f"{self._component_of(resource=res)}")
         if self._n_solves % _inv.SAMPLE_EVERY == 0 and self._flows:
-            snapshot = [(f, f.rate) for f in self._flows]
-            # The reference re-solve is always the scalar solver: the
-            # cross-check then validates both the incremental-component
-            # invariant *and* (when the dirty solve ran vectorized) the
-            # scalar/vector bit-identity contract in one comparison.
-            self._assign_rates_scalar(
-                sorted(self._flows, key=_SEQ_KEY), {})
-            for flow, incremental in snapshot:
-                if flow.rate != incremental:
-                    globally = flow.rate
-                    flow.rate = incremental  # leave state as found
-                    self._violation(
-                        f"incremental solve diverged from global solve for "
-                        f"flow {flow.label or 'anon'!r}: component gave "
-                        f"{incremental!r}, from-scratch gave {globally!r} "
-                        f"in {self._component_of(flow=flow)}")
+            self._cross_check(dirty)
+
+    def _cross_check(self, dirty: List[Flow]) -> None:
+        """Re-solve with the scalar reference and compare.
+
+        * The dirty flows just solved are re-solved together: whichever
+          fast path solved them must match the reference **bitwise**.
+        * Every connected component is re-solved from scratch, which
+          catches flows the dirty tracking left with stale rates.  This
+          comparison allows the solver's own tolerance ``_REL_TOL``: a
+          dirty set can span several components (a stop or same-instant
+          completions seed them together), and solving them jointly
+          interleaves their freezes, which rounds differently from
+          solving each alone.
+
+        Rates are left as found.
+        """
+        fast = [f.rate for f in dirty]
+        self._assign_rates_scalar(dirty, {})
+        for flow, rate in zip(dirty, fast):
+            if flow.rate != rate:
+                reference = flow.rate
+                for f, r in zip(dirty, fast):
+                    f.rate = r
+                self._violation(
+                    f"fast-path solve diverged from the scalar reference "
+                    f"for flow {flow.label or 'anon'!r}: fast path gave "
+                    f"{rate!r}, reference gave {reference!r} in "
+                    f"{self._component_of(flow=flow)}")
+        snapshot = [(f, f.rate) for f in self._flows]
+        for component in self._components_from_paths():
+            self._assign_rates_scalar(component, {})
+        culprit = None
+        for flow, incremental in snapshot:
+            scratch = flow.rate
+            flow.rate = incremental
+            if culprit is None and scratch != incremental:
+                scale = max(abs(scratch), abs(incremental),
+                            *(res.capacity for res in flow.resources))
+                if abs(scratch - incremental) > _REL_TOL * scale:
+                    culprit = (flow, incremental, scratch)
+        if culprit is not None:
+            flow, incremental, scratch = culprit
+            self._violation(
+                f"incremental solve diverged from global solve for "
+                f"flow {flow.label or 'anon'!r}: component gave "
+                f"{incremental!r}, from-scratch gave {scratch!r} "
+                f"in {self._component_of(flow=flow)}")
+
+    def _components_from_paths(self) -> List[List[Flow]]:
+        """Connected components of the active flows, each in activation
+        order, for the from-scratch cross-check.
+
+        Derived from the flows' own paths rather than the incremental
+        adjacency, so corrupted bookkeeping cannot hide in the
+        reference.  Components are solved one at a time, as the model
+        defines the allocation: in one pass over every flow, the rounds
+        of unrelated components would interleave.
+        """
+        flows = sorted(self._flows, key=_SEQ_KEY)
+        parent = list(range(len(flows)))
+
+        def root(k: int) -> int:
+            while parent[k] != k:
+                parent[k] = k = parent[parent[k]]
+            return k
+
+        first: Dict[Resource, int] = {}
+        for k, flow in enumerate(flows):
+            for res in flow.resources:
+                j = first.setdefault(res, k)
+                if j != k:
+                    parent[root(j)] = root(k)
+        groups: Dict[int, List[Flow]] = {}
+        for k, flow in enumerate(flows):
+            groups.setdefault(root(k), []).append(flow)
+        return list(groups.values())
 
     def _check_usage_cache(self, flow: Flow) -> None:
         """Verify one flow's cached per-resource usage multipliers

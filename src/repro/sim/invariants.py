@@ -11,11 +11,12 @@ themselves at runtime:
 * per-resource capacity is never exceeded and rates stay non-negative
   and demand-capped after every rate solve;
 * the per-flow usage caches agree with the authoritative usage maps;
-* on a sampled fraction of solves, the dirty-component solution is
-  cross-checked **bitwise** against a from-scratch global solve — the
-  global reference deliberately runs the *scalar* solver, so with the
-  vectorized component path (PR 8) enabled this one comparison also
-  pins vector-vs-scalar bit-equivalence on live workloads;
+* on a sampled fraction of solves, the scalar reference solver
+  re-solves the dirty flows, which must match **bitwise** whichever
+  fast path (closed form, small-component or lazy-refresh kernel)
+  solved them, and re-solves every connected component from scratch,
+  which must agree to the solver's tolerance (a dirty set spanning
+  several components is solved jointly and rounds differently);
 * event time never moves backwards through the engine's heap.
 
 A failed check raises :class:`InvariantViolation` naming the culprit

@@ -9,12 +9,12 @@ Four shapes:
 
 * :func:`churn` — many small components (fig10-style: one bus per
   socket) under start/finish/capacity churn.  Components stay below
-  the vectorization threshold, so this guards the scalar path and the
-  dirty-component bookkeeping.
+  the kernel threshold, so this guards the list-based small-component
+  solver and the dirty-component bookkeeping.
 * :func:`churn_wide` — a few wide components (fabric-style: dozens of
   flows sharing a bus *and* a link) re-solved repeatedly under
   capacity wiggles.  Components sit above the threshold, so this
-  guards the vectorized solver and its component-plan cache.
+  guards the lazy-refresh kernel and its memoised row layout.
 * :func:`tiny_components` — 1–2-flow component churn, guarding the
   PR 9 closed-form small-component fast path.
 * :func:`sampler_dense` — dense periodic sampling under activity
@@ -136,10 +136,10 @@ def churn_wide(per: int = 128, groups: int = 16, rounds: int = 6,
 
     Every flow crosses a shared trunk plus its group's bus and link, so
     all *per* flows form one connected component — large enough for the
-    vectorized solver.  Each round starts the block once and then
+    lazy-refresh kernel.  Each round starts the block once and then
     wiggles the trunk capacity *wiggles* times: every wiggle re-solves
-    the same membership, which is exactly the access pattern the
-    component-plan and dirty-component caches amortize.
+    the same membership, so the dirty-component memo and the kernel's
+    row layout memoised on it are reused until the next start.
     """
     sim = Simulator()
     net = FluidNetwork(sim)

@@ -3,10 +3,11 @@
 The guard (:mod:`repro.sim.invariants`) is strictly pay-for-what-you-
 use: with the flag off the hot paths check one module-level bool.  On,
 every rate solve verifies usage caches, rate bounds and capacity
-conservation, every ``sample``-th solve bitwise cross-checks the
-incremental dirty-component solve against a from-scratch global solve,
-and the event loop asserts heap monotonicity.  Violations raise
-:class:`InvariantViolation` naming the offending connected component.
+conservation, every ``sample``-th solve cross-checks the fast path
+bitwise against the scalar reference on the same dirty flows and every
+component against a from-scratch solve, and the event loop asserts
+heap monotonicity.  Violations raise :class:`InvariantViolation` naming
+the offending connected component.
 """
 
 import math
@@ -149,6 +150,49 @@ def test_sampled_global_cross_check_catches_divergence():
         with pytest.raises(InvariantViolation,
                            match="diverged from global solve"):
             net.set_demand(flow_b, 40.0)
+
+
+def test_fast_path_divergence_from_scalar_reference_detected(monkeypatch):
+    """A fast path that rounds one rate differently from the scalar
+    reference is caught on the very solve it ran."""
+    solve = FluidNetwork._assign_rates_small  # noqa: SLF001
+
+    def off_by_one_ulp(net, dirty, touched):
+        solve(net, dirty, touched)
+        dirty[0].rate = math.nextafter(dirty[0].rate, 0.0)
+
+    monkeypatch.setattr(FluidNetwork, "_assign_rates_small", off_by_one_ulp)
+    sim, net = _net()
+    link = Resource("link", 90.0)
+    net.transfer([link], size=1e6)
+    net.transfer([link], size=1e6)
+    with invariant_checks(sample=1):
+        with pytest.raises(InvariantViolation,
+                           match="diverged from the scalar reference"):
+            net.transfer([link], size=1e6, label="third")
+
+
+def test_cross_check_reference_solves_components_separately():
+    """Minimised from a 32-node co-scheduled dragonfly run.  Solving
+    two components together (the stop seeds both) and solving one
+    alone round its unconstrained flow differently in the last bit.
+    Neither is a divergence: the reference re-solves each component on
+    its own, and a jointly solved set agrees with it to the solver's
+    tolerance.  A single pass over all flows as the reference reported
+    the second solve as diverged."""
+    sim, net = _net()
+    a, b = Resource("a", 3.0), Resource("b", 30.0)
+    with invariant_checks(sample=1):
+        bridge = net.transfer([a, b], size=1e9, label="bridge")
+        for demand in (math.inf, 0.3, 2.9):
+            net.transfer([a], size=1e9, demand=demand)
+        free, *capped = [net.transfer([b], size=1e9, demand=demand)
+                         for demand in (math.inf, 3.3, 5.9, 0.7)]
+        net.stop_flow(bridge)
+        joint = free.rate
+        net.set_demand(capped[-1], 0.7)
+    assert joint == 20.1
+    assert free.rate == 20.099999999999998
 
 
 # -- engine heap monotonicity -----------------------------------------------

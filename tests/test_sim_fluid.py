@@ -182,6 +182,58 @@ def test_invalid_parameters_rejected():
         Flow([link], demand=0.0)
 
 
+# A NaN capacity makes every ``lvl < level`` comparison false, so the
+# solver would hand out wrong rates silently; non-finite inputs are
+# rejected where they enter.
+
+@pytest.mark.parametrize("capacity", [math.nan, math.inf])
+def test_resource_rejects_non_finite_capacity(capacity):
+    with pytest.raises(ValueError):
+        Resource("r", capacity)
+
+
+@pytest.mark.parametrize("capacity", [math.nan, math.inf])
+def test_set_capacity_rejects_non_finite_capacity(capacity):
+    sim, net = make_net()
+    link = Resource("link", 10.0)
+    flow = net.transfer([link], size=100.0)
+    with pytest.raises(ValueError):
+        link.set_capacity(capacity)
+    assert link.capacity == 10.0
+    assert flow.rate == 10.0
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+def test_flow_rejects_non_finite_weight(weight):
+    with pytest.raises(ValueError):
+        Flow([Resource("link", 1.0)], weight=weight)
+
+
+def test_flow_rejects_nan_demand():
+    with pytest.raises(ValueError):
+        Flow([Resource("link", 1.0)], demand=math.nan)
+
+
+def test_set_demand_rejects_nan():
+    sim, net = make_net()
+    flow = net.transfer([Resource("link", 10.0)], size=100.0)
+    with pytest.raises(ValueError):
+        net.set_demand(flow, math.nan)
+
+
+@pytest.mark.parametrize("size", [math.nan, math.inf])
+def test_flow_rejects_non_finite_size(size):
+    with pytest.raises(ValueError):
+        Flow([Resource("link", 1.0)], size=size)
+
+
+def test_infinite_demand_and_continuous_size_stay_legal():
+    sim, net = make_net()
+    flow = net.start_flow(
+        Flow([Resource("link", 10.0)], size=None, demand=math.inf))
+    assert flow.rate == 10.0
+
+
 def test_resource_shared_between_networks_rejected():
     sim = Simulator()
     net1 = FluidNetwork(sim)
