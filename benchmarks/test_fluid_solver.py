@@ -12,10 +12,10 @@ the identical workloads for the committed ``BENCH_*.json`` baselines.
   flat as components are added.
 * ``test_fluid_wide_component_resolve`` (PR 8 tentpole): one wide
   fabric component re-solved repeatedly under trunk-capacity wiggles —
-  the regime the lazy-refresh kernel and the dirty-component memo
-  (which carries the kernel's row layout) target.
+  the regime the lazy-refresh kernel targets (it rebuilds its row
+  layout on every solve).
 * ``test_fluid_tiny_components`` (PR 9 tentpole): 1–2-flow component
-  churn — the closed-form small-component fast path.
+  churn — the one-flow closed form and ``_assign_rates_small``.
 * ``test_sampler_dense`` (PR 9 tentpole): dense periodic sampling
   under activity churn — the epoch-batched sampler.
 """

@@ -274,13 +274,18 @@ class Simulator:
         until:
             Absolute time horizon.  If given, execution stops once the
             next event would be strictly after *until*, and ``now`` is
-            advanced to *until*.  If omitted, runs until no *foreground*
-            events remain (daemon entries alone never sustain the loop).
+            advanced to *until*.  A horizon before ``now`` raises
+            :class:`SimulationError`, as :meth:`schedule_at` does for a
+            past time.  If omitted, runs until no *foreground* events
+            remain (daemon entries alone never sustain the loop).
 
         Telemetry/invariant switches are sampled on entry (see module
         docstring); same-instant event bursts dispatch back-to-back
         against those cached locals without re-reading ambient state.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until!r} < now={self._now!r}")
         queue = self._queue
         pop = heapq.heappop
         inv_on = _inv.ENABLED

@@ -33,12 +33,17 @@ dirty set spans several components, which are then solved together).
 See "Fluid solver internals" in DESIGN.md for the invariants this
 relies on.
 
-Components of ``_KERNEL_MIN`` or more flows solve on a lazy-refresh
-kernel: each resource keeps its water-level denominator until a freeze
-touches it, and the bottleneck pass only visits the resources that can
-bind.  It performs the same float operations on the same operands in
-the same order as the dict-based reference solver, so seeded runs are
-bit-identical whichever path solves a component (see DESIGN.md §4.1).
+A component is solved by one of three paths, chosen by its size: a
+closed form for a single flow (``_assign_rates_one``), list-based
+progressive filling below ``_KERNEL_MIN`` flows (``_assign_rates_small``)
+and, from there on, a lazy-refresh kernel (``_assign_rates_kernel``):
+each resource keeps its water-level denominator until a freeze touches
+it, and the bottleneck pass only visits the resources that can bind.
+The last two build the component's row layout afresh on every solve.
+Every path performs the same float operations on the same operands in
+the same order as the dict-based reference solver
+(``_assign_rates_scalar``), so seeded runs are bit-identical whichever
+path solves a component (see DESIGN.md §4.1).
 """
 
 from __future__ import annotations
@@ -210,10 +215,13 @@ class _Layout:
     usage)`` pairs.  These are the scalar reference's dict iteration
     orders, so sums and debits see the same operands in the same order.
     ``denoms`` holds each row's left-to-right sum over all its members,
-    the kernel's first-round denominator.  Nothing here changes while the
-    membership holds (paths, weights and usage multipliers are fixed at
-    flow construction); demands and capacities are read live on every
-    solve.
+    the kernel's first-round denominator.
+
+    Both solvers build a fresh layout on every solve.  A layout only
+    stays valid while the component's membership holds, and on the
+    benchmark workloads the membership changes between almost every
+    pair of solves of the same component, so a kept layout would almost
+    never be reused (DESIGN.md §4.1).
     """
 
     __slots__ = ("flows", "empty", "resources", "members", "paths",
@@ -256,22 +264,6 @@ class _Layout:
         self.paths = paths
 
 
-class _Component:
-    """A dirty connected component: its flows in activation order and,
-    once a kernel solve has built it, their :class:`_Layout`.
-
-    Single-seed components are memoised in
-    :attr:`FluidNetwork._dirty_cache`, so the layout lives exactly as
-    long as that entry: until the next start or stop.
-    """
-
-    __slots__ = ("flows", "layout")
-
-    def __init__(self, flows: List[Flow]):
-        self.flows = flows
-        self.layout: Optional[_Layout] = None
-
-
 class FluidNetwork:
     """Set of active flows over shared resources; owns rate assignment.
 
@@ -298,12 +290,6 @@ class FluidNetwork:
         self._res_flows: Dict[Resource, Dict[Flow, None]] = {}
         self._next_seq = 0
         self._n_solves = 0  # rate solves, for invariant-check sampling
-        # Single-seed dirty-component memo, cleared on any adjacency
-        # change (start/stop).  Demand and capacity updates re-solve
-        # the same membership over and over; the graph traversal, its
-        # activation-order sort and the kernel's row layout are pure
-        # overhead for those.
-        self._dirty_cache: Dict[object, _Component] = {}
         # Same-instant scan memos.  ``None`` means the next finished
         # scan / completion-reschedule pass must cover every flow;
         # a dict restricts it to the flows whose rate (or existence)
@@ -315,10 +301,6 @@ class FluidNetwork:
         self._resched_candidates: Optional[Dict[Flow, None]] = None
 
     # -- public API -------------------------------------------------------
-    @property
-    def flows(self) -> Set[Flow]:
-        return set(self._flows)
-
     def start_flow(self, flow: Flow) -> Flow:
         """Activate *flow*; its :attr:`Flow.done` event fires on completion
         (finite flows only) with the completion time as value."""
@@ -343,8 +325,6 @@ class FluidNetwork:
                 fset = res_flows[res] = {}
             fset[flow] = None
         self._flows[flow] = None
-        if self._dirty_cache:
-            self._dirty_cache.clear()
         if _obs_context._ACTIVE is not None:
             _obs_context._ACTIVE.on_flow_start(self, flow)
         self._recompute(seed_flows=(flow,))
@@ -436,8 +416,6 @@ class FluidNetwork:
     def _deactivate(self, flow: Flow) -> None:
         flow._active = False
         flow.rate = 0.0
-        if self._dirty_cache:
-            self._dirty_cache.clear()
         if self._scan_candidates:
             self._scan_candidates.pop(flow, None)
         if self._resched_candidates:
@@ -455,32 +433,13 @@ class FluidNetwork:
                     del res_flows[res]
 
     def _dirty_component(self, seed_flows: Sequence[Flow],
-                         seed_resources: Sequence[Resource]) -> _Component:
+                         seed_resources: Sequence[Resource]) -> List[Flow]:
         """Flows (transitively) sharing a resource with the seeds.
 
         Traverses the flow↔resource adjacency and returns the union of
         the seeds' connected components in *activation order* — the
         order the global solver would visit them in.
-
-        Single-seed queries (a capacity or demand update) are memoized
-        until the next adjacency change: the component of a given seed
-        cannot change while no flow starts or stops, so repeated
-        updates of the same knob skip the traversal, the
-        activation-order sort and the kernel's layout build.  Callers
-        treat the returned flow list as read-only.
         """
-        # Callers pass lists/tuples (sized), so the single-seed probe
-        # is two len() calls on the miss path.
-        key: Optional[object] = None
-        if not seed_flows:
-            if len(seed_resources) == 1:
-                key = seed_resources[0]
-        elif len(seed_flows) == 1 and not seed_resources:
-            key = seed_flows[0]
-        if key is not None:
-            cached = self._dirty_cache.get(key)
-            if cached is not None:
-                return cached
         res_flows = self._res_flows
         dirty: Dict[Flow, None] = {}
         res_stack: List[Resource] = []
@@ -502,12 +461,8 @@ class FluidNetwork:
                         if r not in seen_res:
                             res_stack.append(r)
         if len(dirty) <= 1:
-            component = _Component(list(dirty))
-        else:
-            component = _Component(sorted(dirty, key=_SEQ_KEY))
-        if key is not None:
-            self._dirty_cache[key] = component
-        return component
+            return list(dirty)
+        return sorted(dirty, key=_SEQ_KEY)
 
     def _recompute(self, seed_flows: Sequence[Flow] = (),
                    seed_resources: Sequence[Resource] = ()) -> None:
@@ -543,11 +498,10 @@ class FluidNetwork:
             # to zero and must still be re-sampled by telemetry).
             for res in pending_res:
                 touched[res] = None
-            component = self._dirty_component(pending_flows, pending_res)
-            dirty = component.flows
+            dirty = self._dirty_component(pending_flows, pending_res)
             pending_flows = []
             pending_res = []
-            self._assign_rates(component, touched)
+            self._assign_rates(dirty, touched)
             # Freshly solved flows are the only ones whose finish
             # predicate or completion time can move at this instant.
             scan_cands = self._scan_candidates
@@ -566,8 +520,7 @@ class FluidNetwork:
 
     def _finished_flows(self) -> List[Flow]:
         """Active flows whose remainder is numerically done, in
-        insertion order (the inlined hot-loop form of
-        :meth:`_is_finished`)."""
+        insertion order."""
         # At an unchanged instant only candidate flows (rate changed or
         # newly seeded since the last scan) can newly satisfy the
         # predicate; everything else was scanned-and-rejected with
@@ -587,8 +540,17 @@ class FluidNetwork:
         else:
             flows = list(cands)
             cands.clear()
-        # Representable-time floor at the current instant, hoisted out
-        # of the per-flow check (see _is_finished).
+        return self._finished_among(flows)
+
+    def _finished_among(self, flows: Sequence[Flow]) -> List[Flow]:
+        """The *flows* whose remainder is numerically done, in order.
+
+        Two criteria: the byte remainder is within relative epsilon of
+        the size, or the time needed to drain it at the current rate is
+        below the representable time increment at the current simulated
+        time (otherwise completion events would stop advancing time and
+        livelock the event loop).
+        """
         time_floor = max(1e-12, 8.0 * abs(self.sim.now) * 2.3e-16)
         finished = []
         for flow in flows:
@@ -602,45 +564,23 @@ class FluidNetwork:
                 finished.append(flow)
         return finished
 
-    def _is_finished(self, flow: Flow) -> bool:
-        """True when the flow's remainder is numerically done.
-
-        Two criteria: the byte remainder is within relative epsilon of
-        the size, or the time needed to drain it at the current rate is
-        below the representable time increment at the current simulated
-        time (otherwise completion events would stop advancing time and
-        livelock the event loop).
-        """
-        remaining = flow.remaining
-        if remaining is None:
-            return False
-        if remaining <= flow._finish_eps:
-            return True
-        if flow.rate > 0:
-            time_floor = max(1e-12, 8.0 * abs(self.sim.now) * 2.3e-16)
-            return remaining <= flow.rate * time_floor
-        return False
-
-    def _assign_rates(self, component: _Component,
+    def _assign_rates(self, dirty: List[Flow],
                       touched: Dict[Resource, None]) -> None:
         """Weighted max-min fair allocation via progressive filling,
-        restricted to the dirty *component*.
+        restricted to the *dirty* component (flows in activation order).
 
-        Dispatches on component size: the closed forms for one and two
-        flows, :meth:`_assign_rates_small` below ``_KERNEL_MIN`` flows
-        and :meth:`_assign_rates_kernel` from there on.  Every path
-        performs the scalar reference's float operations on the same
-        operands in the same order, so the choice never changes a
-        single bit of the resulting rates.
+        Dispatches on component size: the closed form for one flow,
+        :meth:`_assign_rates_small` below ``_KERNEL_MIN`` flows and
+        :meth:`_assign_rates_kernel` from there on.  Every path performs
+        the scalar reference's float operations on the same operands in
+        the same order, so the choice never changes a single bit of the
+        resulting rates.
         """
-        dirty = component.flows
         n = len(dirty)
         if n >= _KERNEL_MIN:
-            return self._assign_rates_kernel(component, touched)
-        if n > 2:
+            return self._assign_rates_kernel(dirty, touched)
+        if n > 1:
             return self._assign_rates_small(dirty, touched)
-        if n == 2:
-            return self._assign_rates_two(dirty, touched)
         if n == 1:
             return self._assign_rates_one(dirty[0], touched)
         return None
@@ -676,135 +616,10 @@ class FluidNetwork:
             rate = weight * level
         flow.rate = rate if rate > 0.0 else 0.0
 
-    def _assign_rates_two(self, dirty: List[Flow],
-                          touched: Dict[Resource, None]) -> None:
-        """Progressive filling specialised to a two-flow component.
-
-        Mirrors :meth:`_assign_rates_scalar` step for step on parallel
-        lists instead of dicts-of-dicts: same resource visit order
-        (first flow's path first), same two-term denominators (summed
-        first-flow-first, matching dict insertion order), same
-        demand-vs-bottleneck freeze order and the same residual
-        capacity debit order — so every rounding decision is identical
-        and the result is bit-equal to the reference solver.
-        """
-        remaining = []
-        for flow in dirty:
-            if not flow.resources:
-                flow.rate = flow.demand
-            else:
-                remaining.append(flow)
-        if not remaining:
-            return
-        if len(remaining) == 1:
-            return self._assign_rates_one(remaining[0], touched)
-
-        index: Dict[Resource, int] = {}
-        res_list: List[Resource] = []
-        avail: List[float] = []
-        prods: List[List[Optional[float]]] = []
-        paths: Tuple[List[Tuple[int, float]], List[Tuple[int, float]]] = \
-            ([], [])
-        for k in (0, 1):
-            flow = remaining[k]
-            weight = flow.weight
-            path = paths[k]
-            for res, wu in zip(flow.resources, flow._usages):
-                i = index.get(res)
-                if i is None:
-                    i = index[res] = len(res_list)
-                    res_list.append(res)
-                    avail.append(res.capacity)
-                    prods.append([None, None])
-                    touched[res] = None
-                prods[i][k] = weight * wu
-                path.append((i, wu))
-
-        fixed = [False, False]
-        n_res = len(res_list)
-
-        def fix(k: int, rate: float) -> None:
-            flow = remaining[k]
-            flow.rate = rate = rate if rate > 0.0 else 0.0
-            for i, usage in paths[k]:
-                left = avail[i] - rate * usage
-                avail[i] = left if left > 0.0 else 0.0
-            fixed[k] = True
-
-        while True:
-            level = math.inf
-            for i in range(n_res):
-                pa, pb = prods[i]
-                if pa is None or fixed[0]:
-                    if pb is None or fixed[1]:
-                        continue
-                    denom = pb
-                elif pb is None or fixed[1]:
-                    denom = pa
-                else:
-                    denom = pa + pb
-                if denom <= 0:
-                    continue
-                lvl = avail[i] / denom
-                if lvl < level:
-                    level = lvl
-            if not math.isfinite(level):
-                for k in (0, 1):
-                    if fixed[k]:
-                        continue
-                    flow = remaining[k]
-                    if not math.isfinite(flow.demand):
-                        raise SimulationError(
-                            f"flow {flow.label!r} has unbounded rate")
-                    fix(k, flow.demand)
-                break
-
-            # NB: the demand guard must round exactly like the scalar
-            # solver's left-associative ``weight * level * (1 + tol)``;
-            # the bottleneck guard below hoists ``level * (1 + tol)``
-            # because the scalar compare is written that way too.
-            demand_limited = [
-                k for k in (0, 1)
-                if not fixed[k]
-                and remaining[k].demand
-                <= remaining[k].weight * level * (1 + _REL_TOL)]
-            guard = level * (1 + _REL_TOL)
-            if demand_limited:
-                for k in demand_limited:
-                    fix(k, remaining[k].demand)
-                if fixed[0] and fixed[1]:
-                    break
-                continue
-
-            froze = False
-            for i in range(n_res):
-                pa, pb = prods[i]
-                members = [k for k in (0, 1)
-                           if prods[i][k] is not None and not fixed[k]]
-                if not members:
-                    continue
-                if len(members) == 2:
-                    denom = pa + pb
-                else:
-                    denom = prods[i][members[0]]
-                if denom <= 0:
-                    continue
-                if avail[i] / denom <= guard:
-                    for k in members:
-                        if not fixed[k]:
-                            fix(k, remaining[k].weight * level)
-                            froze = True
-            if not froze:  # pragma: no cover - numerical safety net
-                for k in (0, 1):
-                    if not fixed[k]:
-                        fix(k, remaining[k].weight * level)
-            if fixed[0] and fixed[1]:
-                break
-
     def _assign_rates_small(self, dirty: List[Flow],
                             touched: Dict[Resource, None]) -> None:
-        """List-based progressive filling for mid-size components
-        (``2 < n < _KERNEL_MIN``).
+        """List-based progressive filling for small components
+        (``1 < n < _KERNEL_MIN``).
 
         The dict-of-dicts machinery of :meth:`_assign_rates_scalar`
         dominates its runtime for components of a handful of flows;
@@ -913,7 +728,7 @@ class FluidNetwork:
                         fixed[k] = True
                         unfixed_left -= 1
 
-    def _assign_rates_kernel(self, component: _Component,
+    def _assign_rates_kernel(self, dirty: List[Flow],
                              touched: Dict[Resource, None]) -> None:
         """Progressive filling with lazily refreshed row denominators.
 
@@ -938,9 +753,7 @@ class FluidNetwork:
           there, and that sweep skips it too.
         * Residual-capacity debits stay sequential in freeze order.
         """
-        layout = component.layout
-        if layout is None:
-            layout = component.layout = _Layout(component.flows)
+        layout = _Layout(dirty)
         for flow in layout.empty:
             flow.rate = flow.demand
         flows = layout.flows
@@ -1157,7 +970,7 @@ class FluidNetwork:
         diagnostics."""
         comp = self._dirty_component(
             (flow,) if flow is not None else (),
-            (resource,) if resource is not None else ()).flows
+            (resource,) if resource is not None else ())
         labels = [f.label or "anon" for f in comp]
         shown = ", ".join(labels[:6])
         if len(labels) > 6:
@@ -1368,7 +1181,7 @@ class FluidNetwork:
             self._scan_candidates[flow] = None
         if self._resched_candidates is not None:
             self._resched_candidates[flow] = None
-        if not self._is_finished(flow):
+        if not self._finished_among((flow,)):
             # Rates changed under us; reschedule this flow's completion.
             self._reschedule_completions()
             return

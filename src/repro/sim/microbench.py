@@ -14,9 +14,10 @@ Four shapes:
 * :func:`churn_wide` — a few wide components (fabric-style: dozens of
   flows sharing a bus *and* a link) re-solved repeatedly under
   capacity wiggles.  Components sit above the threshold, so this
-  guards the lazy-refresh kernel and its memoised row layout.
+  guards the lazy-refresh kernel, row-layout build included.
 * :func:`tiny_components` — 1–2-flow component churn, guarding the
-  PR 9 closed-form small-component fast path.
+  one-flow closed form, ``_assign_rates_small`` on two-flow
+  components and the same-instant scan memos around them.
 * :func:`sampler_dense` — dense periodic sampling under activity
   churn, guarding the PR 9 epoch-batched sampler.
 """
@@ -65,7 +66,7 @@ def tiny_components(n_components: int = 200, rounds: int = 60
     """1–2-flow component churn (the fig10 per-socket regime).
 
     Every component stays at one or two flows, so each solve takes the
-    closed-form small-component fast path (PR 9); the churn itself
+    one-flow closed form or ``_assign_rates_small``; the churn itself
     (start/complete/capacity wiggles) exercises the dirty-component
     bookkeeping and completion rescheduling around it.
     """
@@ -98,9 +99,9 @@ def sampler_dense(period: float = 1e-4, wiggles: int = 2000,
     A :class:`~repro.sim.trace.PeriodicSampler` probes every core of a
     ``henri`` machine at *period* while a driver toggles core activity
     (the Figure-2 pattern).  With no telemetry sink installed the
-    sampler runs epoch-batched — this case pins the cost of the batch
-    emission path (and, under ``REPRO_SAMPLER_TICKS=1``, of the legacy
-    tick path it replaced).
+    sampler runs epoch-batched, so this case pins the cost of the batch
+    emission path.  The tick path runs only under a telemetry sink and
+    is not timed here.
     """
     from repro.hardware.frequency import CoreActivity, FrequencyModel
     from repro.hardware.presets import get_preset
@@ -138,8 +139,8 @@ def churn_wide(per: int = 128, groups: int = 16, rounds: int = 6,
     all *per* flows form one connected component — large enough for the
     lazy-refresh kernel.  Each round starts the block once and then
     wiggles the trunk capacity *wiggles* times: every wiggle re-solves
-    the same membership, so the dirty-component memo and the kernel's
-    row layout memoised on it are reused until the next start.
+    the same membership, re-gathering the component and rebuilding the
+    kernel's row layout each time (nothing is memoised across solves).
     """
     sim = Simulator()
     net = FluidNetwork(sim)

@@ -414,6 +414,49 @@ kernel_flow = st.tuples(
 )
 
 
+def _trunk_network(caps, specs):
+    """Start one flow per spec over a shared trunk plus one or two of
+    five links, so all of them form a single component."""
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    res = [Resource(f"r{i}", cap) for i, cap in enumerate(caps)]
+    trunk = res[5]
+    flows = []
+    for demand, weight, links, usage, size in specs:
+        path = [trunk] + [res[i] for i in links]
+        # The trunk keeps usage 1.0 so every flow stays bounded.
+        flows.append(net.transfer(
+            path, size=size, demand=demand, weight=weight,
+            usage=1.0 if usage is None else {res[links[0]]: usage}))
+    return sim, net, res, flows
+
+
+def _churn_trunk(sim, net, res, flows, ops, check, max_live=math.inf):
+    """Apply *ops* to a :func:`_trunk_network`, calling ``check`` on the
+    active flows (activation order) before the first op and after each.
+    Starts are skipped while *max_live* flows are active."""
+    def active():
+        return sorted(net._flows, key=lambda f: f._seq)  # noqa: SLF001
+
+    check(active())
+    for kind, value, pick in ops:
+        live = [f for f in flows if f.active]
+        if not live:
+            break
+        if kind == "advance":
+            sim.run(until=sim.now + value / 50.0)
+        elif kind == "stop":
+            net.stop_flow(live[pick % len(live)])
+        elif kind == "demand":
+            net.set_demand(live[pick % len(live)], value)
+        elif kind == "capacity":
+            res[pick].set_capacity(value * 4.0)
+        elif len(live) < max_live:
+            flows.append(net.transfer([res[5], res[pick % 5]], size=50.0,
+                                      demand=value))
+        check(active())
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     caps=st.lists(st.floats(min_value=20.0, max_value=400.0),
@@ -428,52 +471,49 @@ def test_kernel_solve_matches_scalar_bitwise(caps, specs, ops):
     and the scalar reference re-solve all active flows and must agree
     bit for bit with each other and with the rates the incremental
     dispatch produced."""
-    sim = Simulator()
-    net = FluidNetwork(sim)
-    res = [Resource(f"r{i}", cap) for i, cap in enumerate(caps)]
-    trunk = res[5]
-    flows = []
-    for demand, weight, links, usage, size in specs:
-        path = [trunk] + [res[i] for i in links]
-        # The trunk keeps usage 1.0 so every flow stays bounded.
-        flows.append(net.transfer(
-            path, size=size, demand=demand, weight=weight,
-            usage=1.0 if usage is None else {res[links[0]]: usage}))
+    sim, net, res, flows = _trunk_network(caps, specs)
     assert len(net._flows) >= fluid._KERNEL_MIN  # noqa: SLF001
 
-    def check():
-        active = sorted(net._flows, key=lambda f: f._seq)  # noqa: SLF001
+    def check(active):
         dispatched = [f.rate for f in active]
-        net._assign_rates_kernel(  # noqa: SLF001
-            fluid._Component(active), {})  # noqa: SLF001
+        net._assign_rates_kernel(active, {})  # noqa: SLF001
         kernel = [f.rate for f in active]
         net._assign_rates_scalar(active, {})  # noqa: SLF001
         scalar = [f.rate for f in active]
         assert kernel == scalar
         assert dispatched == scalar
 
-    check()
-    for kind, value, pick in ops:
-        live = [f for f in flows if f.active]
-        if not live:
-            break
-        if kind == "advance":
-            sim.run(until=sim.now + value / 50.0)
-        elif kind == "stop":
-            net.stop_flow(live[pick % len(live)])
-        elif kind == "demand":
-            net.set_demand(live[pick % len(live)], value)
-        elif kind == "capacity":
-            res[pick].set_capacity(value * 4.0)
-        else:
-            flows.append(net.transfer([trunk, res[pick % 5]], size=50.0,
-                                      demand=value))
-        check()
+    _churn_trunk(sim, net, res, flows, ops, check)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    caps=st.lists(st.floats(min_value=20.0, max_value=400.0),
+                  min_size=6, max_size=6),
+    specs=st.lists(kernel_flow, min_size=2, max_size=fluid._KERNEL_MIN - 1),
+    ops=st.lists(kernel_op, max_size=16),
+)
+def test_small_solve_matches_scalar_bitwise(caps, specs, ops):
+    """The kernel property's churn on components of 2 to
+    ``_KERNEL_MIN - 1`` flows, which solve on ``_assign_rates_small``
+    (or the one-flow closed form once stops leave a single flow).
+    After every step the rates the incremental dispatch produced must
+    equal the scalar reference's re-solve bit for bit."""
+    sim, net, res, flows = _trunk_network(caps, specs)
+
+    def check(active):
+        assert len(active) < fluid._KERNEL_MIN  # noqa: SLF001
+        dispatched = [f.rate for f in active]
+        net._assign_rates_scalar(active, {})  # noqa: SLF001
+        assert [f.rate for f in active] == dispatched
+
+    _churn_trunk(sim, net, res, flows, ops, check,
+                 max_live=fluid._KERNEL_MIN - 1)  # noqa: SLF001
 
 
 def _kernel_and_scalar(flows):
     net = FluidNetwork(Simulator())
-    net._assign_rates_kernel(fluid._Component(flows), {})  # noqa: SLF001
+    net._assign_rates_kernel(flows, {})  # noqa: SLF001
     kernel = [f.rate for f in flows]
     net._assign_rates_scalar(flows, {})  # noqa: SLF001
     return kernel, [f.rate for f in flows]
@@ -529,9 +569,9 @@ def test_coscheduled_dragonfly_cross_checks_every_solve(monkeypatch):
     sizes = []
     solve = FluidNetwork._assign_rates  # noqa: SLF001
 
-    def counting(net, component, touched):
-        sizes.append(len(component.flows))
-        return solve(net, component, touched)
+    def counting(net, dirty, touched):
+        sizes.append(len(dirty))
+        return solve(net, dirty, touched)
 
     monkeypatch.setattr(FluidNetwork, "_assign_rates", counting)
     specs = [AppSpec(name=f"app{i}", pattern="uniform",

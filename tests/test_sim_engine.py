@@ -61,6 +61,24 @@ def test_run_until_horizon():
     assert out == [1, 10]
 
 
+def test_run_until_past_horizon_raises():
+    """A horizon before ``now`` is an error whether or not an event is
+    pending; it must never move the clock backwards."""
+    sim = Simulator()
+    sim.schedule(10.0, lambda: None)
+    sim.run(until=5.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=2.0)
+    assert sim.now == 5.0
+    sim.run()
+    assert sim.now == 10.0
+    with pytest.raises(SimulationError):
+        sim.run(until=2.0)
+    assert sim.now == 10.0
+    sim.run(until=10.0)
+    assert sim.now == 10.0
+
+
 def test_run_until_advances_time_when_queue_empty():
     sim = Simulator()
     sim.run(until=42.0)
