@@ -12,8 +12,8 @@ the identical workloads for the committed ``BENCH_*.json`` baselines.
   flat as components are added.
 * ``test_fluid_wide_component_resolve`` (PR 8 tentpole): one wide
   fabric component re-solved repeatedly under trunk-capacity wiggles —
-  the regime the lazy-refresh kernel targets (it rebuilds its row
-  layout on every solve).
+  the regime the lazy-refresh kernel targets (it reads the rows each
+  resource keeps current on start/stop).
 * ``test_fluid_tiny_components`` (PR 9 tentpole): 1–2-flow component
   churn — the one-flow closed form and ``_assign_rates_small``.
 * ``test_sampler_dense`` (PR 9 tentpole): dense periodic sampling

@@ -39,7 +39,9 @@ progressive filling below ``_KERNEL_MIN`` flows (``_assign_rates_small``)
 and, from there on, a lazy-refresh kernel (``_assign_rates_kernel``):
 each resource keeps its water-level denominator until a freeze touches
 it, and the bottleneck pass only visits the resources that can bind.
-The last two build the component's row layout afresh on every solve.
+The last two read the component's rows in place: every resource keeps
+its active flows, their first-round denominator and its first-touch
+key current as flows start and stop, so no solve builds a layout.
 Every path performs the same float operations on the same operands in
 the same order as the dict-based reference solver
 (``_assign_rates_scalar``), so seeded runs are bit-identical whichever
@@ -67,6 +69,8 @@ _REL_TOL = 1e-9
 # Activation-order sort key (used on every restricted-scan path; an
 # attrgetter beats a lambda at these call counts).
 _SEQ_KEY = attrgetter("_seq")
+# First-touch row order (see Resource).
+_ROW_KEY = attrgetter("_key")
 
 # Components of at least this many flows solve on the lazy-refresh
 # kernel (_assign_rates_kernel); smaller ones on the list-based
@@ -75,9 +79,22 @@ _KERNEL_MIN = 33
 
 
 class Resource:
-    """A capacity-limited channel (bytes/s)."""
+    """A capacity-limited channel (bytes/s).
 
-    __slots__ = ("name", "_capacity", "network")
+    A resource also carries its solver row, kept current by the owning
+    :class:`FluidNetwork` as flows start and stop: ``_flows`` maps each
+    active flow crossing it to its ``weight × usage`` product, in
+    activation order; ``_denom`` is the left-to-right sum of those
+    products (the first-round water-level denominator); ``_key`` packs
+    ``(activation number of the first flow, position of this resource
+    in that flow's path)`` into one int, ``seq << 32 | pos``, so sorting
+    rows by key gives the first-touch order in which the reference
+    solver meets them.  ``_avail`` and ``_ratio`` are scratch: the
+    residual capacity and ratio of the solve that last read the row.
+    """
+
+    __slots__ = ("name", "_capacity", "network", "_flows", "_denom",
+                 "_key", "_avail", "_ratio")
 
     def __init__(self, name: str, capacity: float):
         if not 0 < capacity < math.inf:
@@ -86,6 +103,10 @@ class Resource:
         self.name = name
         self._capacity = float(capacity)
         self.network: Optional["FluidNetwork"] = None
+        self._flows: Dict["Flow", float] = {}
+        self._denom = 0.0
+        self._key: Optional[int] = None
+        self._avail = self._ratio = 0.0
 
     @property
     def capacity(self) -> float:
@@ -137,7 +158,7 @@ class Flow:
         "resources", "size", "demand", "weight", "_usage_scalar",
         "_usage_map", "label", "rate", "transferred", "done",
         "_completion_handle", "_active", "start_time", "_usages",
-        "_finish_eps", "_seq",
+        "_finish_eps", "_seq", "_fixed",
     )
 
     def __init__(
@@ -183,6 +204,7 @@ class Flow:
         # Completion threshold, cached for the finished-scan hot loop.
         self._finish_eps = _EPS * max(1.0, size if size else 1.0)
         self._seq = 0  # activation order within the owning network
+        self._fixed = False  # scratch: frozen in the current solve
 
     def usage_on(self, resource: Resource) -> float:
         """Multiplier applied to this flow's rate on *resource*."""
@@ -206,74 +228,16 @@ class Flow:
                 f"remaining={self.remaining})")
 
 
-class _Layout:
-    """Row layout of one component for the list-based solvers.
-
-    Rows are the component's resources in first-touch order, and each
-    row lists its members as ``(flow slot, weight·usage)`` pairs in
-    activation order; each flow slot lists its path as ``(row,
-    usage)`` pairs.  These are the scalar reference's dict iteration
-    orders, so sums and debits see the same operands in the same order.
-    ``denoms`` holds each row's left-to-right sum over all its members,
-    the kernel's first-round denominator.
-
-    Both solvers build a fresh layout on every solve.  A layout only
-    stays valid while the component's membership holds, and on the
-    benchmark workloads the membership changes between almost every
-    pair of solves of the same component, so a kept layout would almost
-    never be reused (DESIGN.md §4.1).
-    """
-
-    __slots__ = ("flows", "empty", "resources", "members", "paths",
-                 "weights", "denoms")
-
-    def __init__(self, dirty: Sequence[Flow]):
-        self.empty: List[Flow] = []
-        self.flows = flows = []
-        self.weights = weights = []
-        index: Dict[Resource, int] = {}
-        resources: List[Resource] = []
-        members: List[List[Tuple[int, float]]] = []
-        denoms: List[float] = []
-        paths: List[List[Tuple[int, float]]] = []
-        for flow in dirty:
-            if not flow.resources:
-                self.empty.append(flow)
-                continue
-            k = len(flows)
-            flows.append(flow)
-            weight = flow.weight
-            weights.append(weight)
-            path: List[Tuple[int, float]] = []
-            for res, wu in zip(flow.resources, flow._usages):
-                i = index.get(res)
-                prod = weight * wu
-                if i is None:
-                    i = index[res] = len(resources)
-                    resources.append(res)
-                    members.append([(k, prod)])
-                    denoms.append(prod)
-                else:
-                    members[i].append((k, prod))
-                    denoms[i] += prod
-                path.append((i, wu))
-            paths.append(path)
-        self.resources = resources
-        self.members = members
-        self.denoms = denoms
-        self.paths = paths
-
-
 class FluidNetwork:
     """Set of active flows over shared resources; owns rate assignment.
 
     Internals (see DESIGN.md "Fluid solver internals"): the network
-    maintains a flow↔resource adjacency (:attr:`_res_flows`) updated on
-    start/stop, gathers the *dirty connected component* of an event by a
-    traversal over that adjacency, and re-runs progressive filling only
-    on the dirty flows.  Completion events are rescheduled lazily: a
-    heap entry is cancelled/re-pushed only when the flow's completion
-    *time* actually changed.
+    keeps every resource's solver row (see :class:`Resource`) current
+    on start/stop, gathers the *dirty connected component* of an event
+    by a traversal over those rows, and re-runs progressive filling
+    only on the dirty flows and rows.  Completion events are
+    rescheduled lazily: a heap entry is cancelled/re-pushed only when
+    the flow's completion *time* actually changed.
     """
 
     def __init__(self, sim: Simulator):
@@ -284,10 +248,6 @@ class FluidNetwork:
         # nondeterministic order.
         self._flows: Dict[Flow, None] = {}
         self._last_update = 0.0
-        # Persistent adjacency: resource -> insertion-ordered active
-        # flows crossing it.  Maintained incrementally on start/stop so
-        # recomputes don't rebuild it from scratch.
-        self._res_flows: Dict[Resource, Dict[Flow, None]] = {}
         self._next_seq = 0
         self._n_solves = 0  # rate solves, for invariant-check sampling
         # Same-instant scan memos.  ``None`` means the next finished
@@ -315,15 +275,19 @@ class FluidNetwork:
         flow.start_time = self.sim.now
         flow.done = self.sim.event()
         self._next_seq += 1
-        flow._seq = self._next_seq
-        res_flows = self._res_flows
-        for res in flow.resources:
+        flow._seq = seq = self._next_seq
+        weight = flow.weight
+        for pos, (res, wu) in enumerate(zip(flow.resources, flow._usages)):
             if res.network is None:
                 res.network = self
-            fset = res_flows.get(res)
-            if fset is None:
-                fset = res_flows[res] = {}
-            fset[flow] = None
+            members = res._flows
+            if not members:
+                res._denom = 0.0
+                res._key = seq << 32 | pos
+            # The new flow is the row's last in activation order, so its
+            # product is the last term of the left-to-right sum.
+            members[flow] = prod = weight * wu
+            res._denom += prod
         self._flows[flow] = None
         if _obs_context._ACTIVE is not None:
             _obs_context._ACTIVE.on_flow_start(self, flow)
@@ -389,14 +353,14 @@ class FluidNetwork:
 
     def utilization(self, resource: Resource) -> float:
         """Fraction of *resource* capacity currently consumed (0..1+)."""
-        fset = self._res_flows.get(resource)
-        if not fset:
+        members = resource._flows
+        if not members:
             return 0.0
-        used = sum(f.rate * f.usage_on(resource) for f in fset)
+        used = sum(f.rate * f.usage_on(resource) for f in members)
         return used / resource.capacity
 
     def flows_through(self, resource: Resource) -> List[Flow]:
-        return list(self._res_flows.get(resource, ()))
+        return list(resource._flows)
 
     # -- internals ----------------------------------------------------------
     def _advance(self) -> None:
@@ -424,24 +388,37 @@ class FluidNetwork:
             flow._completion_handle.cancel()
             flow._completion_handle = None
         self._flows.pop(flow, None)
-        res_flows = self._res_flows
         for res in flow.resources:
-            fset = res_flows.get(res)
-            if fset is not None:
-                fset.pop(flow, None)
-                if not fset:
-                    del res_flows[res]
+            members = res._flows
+            del members[flow]
+            if not members:
+                res._denom = 0.0
+                res._key = None
+                continue
+            # Re-sum rather than subtract: the row must hold the left-
+            # to-right sum a from-scratch rebuild would.
+            denom = 0.0
+            for prod in members.values():
+                denom += prod
+            res._denom = denom
+            if res._key >> 32 == flow._seq:
+                first = next(iter(members))
+                res._key = first._seq << 32 | first.resources.index(res)
 
-    def _dirty_component(self, seed_flows: Sequence[Flow],
-                         seed_resources: Sequence[Resource]) -> List[Flow]:
-        """Flows (transitively) sharing a resource with the seeds.
+    def _dirty_component(
+            self, seed_flows: Sequence[Flow],
+            seed_resources: Sequence[Resource],
+    ) -> Tuple[List[Flow], List[Resource]]:
+        """Flows (transitively) sharing a resource with the seeds, and
+        the rows they cross.
 
-        Traverses the flow↔resource adjacency and returns the union of
-        the seeds' connected components in *activation order* — the
-        order the global solver would visit them in.
+        Traverses the resources' rows and returns the union of the
+        seeds' connected components: the flows in *activation order* —
+        the order the global solver would visit them in — and every
+        non-empty row the traversal visited, in no particular order.
         """
-        res_flows = self._res_flows
         dirty: Dict[Flow, None] = {}
+        rows: List[Resource] = []
         res_stack: List[Resource] = []
         seen_res: Set[Resource] = set()
         for flow in seed_flows:
@@ -454,15 +431,17 @@ class FluidNetwork:
             if res in seen_res:
                 continue
             seen_res.add(res)
-            for flow in res_flows.get(res, ()):
+            members = res._flows
+            if not members:
+                continue
+            rows.append(res)
+            for flow in members:
                 if flow not in dirty:
                     dirty[flow] = None
-                    for r in flow.resources:
-                        if r not in seen_res:
-                            res_stack.append(r)
+                    res_stack.extend(flow.resources)
         if len(dirty) <= 1:
-            return list(dirty)
-        return sorted(dirty, key=_SEQ_KEY)
+            return list(dirty), rows
+        return sorted(dirty, key=_SEQ_KEY), rows
 
     def _recompute(self, seed_flows: Sequence[Flow] = (),
                    seed_resources: Sequence[Resource] = ()) -> None:
@@ -498,10 +477,10 @@ class FluidNetwork:
             # to zero and must still be re-sampled by telemetry).
             for res in pending_res:
                 touched[res] = None
-            dirty = self._dirty_component(pending_flows, pending_res)
+            dirty, rows = self._dirty_component(pending_flows, pending_res)
             pending_flows = []
             pending_res = []
-            self._assign_rates(dirty, touched)
+            self._assign_rates(dirty, rows, touched)
             # Freshly solved flows are the only ones whose finish
             # predicate or completion time can move at this instant.
             scan_cands = self._scan_candidates
@@ -513,7 +492,7 @@ class FluidNetwork:
                 for flow in dirty:
                     resched_cands[flow] = None
             if _inv.ENABLED:
-                self._check_invariants(dirty)
+                self._check_invariants(dirty, rows)
         self._reschedule_completions()
         if _obs_context._ACTIVE is not None:
             _obs_context._ACTIVE.on_rates_changed(self, touched)
@@ -564,10 +543,11 @@ class FluidNetwork:
                 finished.append(flow)
         return finished
 
-    def _assign_rates(self, dirty: List[Flow],
+    def _assign_rates(self, dirty: List[Flow], rows: List[Resource],
                       touched: Dict[Resource, None]) -> None:
         """Weighted max-min fair allocation via progressive filling,
-        restricted to the *dirty* component (flows in activation order).
+        restricted to the *dirty* component (flows in activation order)
+        and its *rows*, as :meth:`_dirty_component` returns them.
 
         Dispatches on component size: the closed form for one flow,
         :meth:`_assign_rates_small` below ``_KERNEL_MIN`` flows and
@@ -578,9 +558,9 @@ class FluidNetwork:
         """
         n = len(dirty)
         if n >= _KERNEL_MIN:
-            return self._assign_rates_kernel(dirty, touched)
+            return self._assign_rates_kernel(dirty, rows, touched)
         if n > 1:
-            return self._assign_rates_small(dirty, touched)
+            return self._assign_rates_small(dirty, rows, touched)
         if n == 1:
             return self._assign_rates_one(dirty[0], touched)
         return None
@@ -616,7 +596,7 @@ class FluidNetwork:
             rate = weight * level
         flow.rate = rate if rate > 0.0 else 0.0
 
-    def _assign_rates_small(self, dirty: List[Flow],
+    def _assign_rates_small(self, dirty: List[Flow], rows: List[Resource],
                             touched: Dict[Resource, None]) -> None:
         """List-based progressive filling for small components
         (``1 < n < _KERNEL_MIN``).
@@ -624,232 +604,221 @@ class FluidNetwork:
         The dict-of-dicts machinery of :meth:`_assign_rates_scalar`
         dominates its runtime for components of a handful of flows;
         this twin keeps every float operation — denominator summation
-        order (slot order == dirty order == fset insertion order),
-        freeze order, residual debit order and all ``(1 + _REL_TOL)``
-        guards — bit-identical while replacing the dict churn with the
-        lists of a :class:`_Layout`.  It re-sums every row twice per
-        round, which is cheaper than the kernel's bookkeeping on small
-        components.
+        order (each row's flows in activation order), freeze order,
+        residual debit order and all ``(1 + _REL_TOL)`` guards —
+        bit-identical while reading the component's rows in place.  It
+        sorts the rows into first-touch order and re-sums every row
+        twice per round, which is cheaper than the kernel's bookkeeping
+        on small components.
         """
-        layout = _Layout(dirty)
-        for flow in layout.empty:
-            flow.rate = flow.demand
-        flows = layout.flows
-        n = len(flows)
-        if n < 2:
-            if n:
+        flows = []
+        for flow in dirty:
+            if flow.resources:
+                flow._fixed = False
+                flows.append(flow)
+            else:
+                flow.rate = flow.demand
+        unfixed = len(flows)
+        if unfixed < 2:
+            if unfixed:
                 self._assign_rates_one(flows[0], touched)
             return
-        res_list = layout.resources
-        for res in res_list:
+        rows = sorted(rows, key=_ROW_KEY)
+        for res in rows:
             touched[res] = None
-        avail = [res._capacity for res in res_list]
-        members = layout.members
-        paths = layout.paths
-        weights = layout.weights
-        demands = [f.demand for f in flows]
-
-        fixed = [False] * n
-        n_res = len(res_list)
-        unfixed_left = n
+            res._avail = res._capacity
         tol = 1 + _REL_TOL
 
-        while unfixed_left:
+        def fix(flow: Flow, rate: float) -> None:
+            flow.rate = rate = rate if rate > 0.0 else 0.0
+            flow._fixed = True
+            for res, usage in zip(flow.resources, flow._usages):
+                left = res._avail - rate * usage
+                res._avail = left if left > 0.0 else 0.0
+
+        while unfixed:
             level = math.inf
-            for i in range(n_res):
+            for res in rows:
                 denom = 0.0
-                for k, prod in members[i]:
-                    if not fixed[k]:
+                for flow, prod in res._flows.items():
+                    if not flow._fixed:
                         denom += prod
                 if denom <= 0:
                     continue
-                lvl = avail[i] / denom
+                lvl = res._avail / denom
                 if lvl < level:
                     level = lvl
             if not math.isfinite(level):
-                for k in range(n):
-                    if fixed[k]:
+                for flow in flows:
+                    if flow._fixed:
                         continue
-                    rate = demands[k]
-                    if not math.isfinite(rate):
+                    if not math.isfinite(flow.demand):
                         raise SimulationError(
-                            f"flow {flows[k].label!r} has unbounded rate")
-                    flows[k].rate = rate = rate if rate > 0.0 else 0.0
-                    for i, usage in paths[k]:
-                        left = avail[i] - rate * usage
-                        avail[i] = left if left > 0.0 else 0.0
-                    fixed[k] = True
-                    unfixed_left -= 1
+                            f"flow {flow.label!r} has unbounded rate")
+                    fix(flow, flow.demand)
                 break
 
             demand_limited = [
-                k for k in range(n)
-                if not fixed[k] and demands[k] <= weights[k] * level * tol]
+                flow for flow in flows
+                if not flow._fixed
+                and flow.demand <= flow.weight * level * tol]
             if demand_limited:
-                for k in demand_limited:
-                    rate = demands[k]
-                    flows[k].rate = rate = rate if rate > 0.0 else 0.0
-                    for i, usage in paths[k]:
-                        left = avail[i] - rate * usage
-                        avail[i] = left if left > 0.0 else 0.0
-                    fixed[k] = True
-                    unfixed_left -= 1
+                for flow in demand_limited:
+                    fix(flow, flow.demand)
+                unfixed -= len(demand_limited)
                 continue
 
             guard = level * tol
             froze = False
-            for i in range(n_res):
-                mem = members[i]
+            for res in rows:
+                members = res._flows
                 denom = 0.0
-                for k, prod in mem:
-                    if not fixed[k]:
+                for flow, prod in members.items():
+                    if not flow._fixed:
                         denom += prod
                 if denom <= 0:
                     continue
-                if avail[i] / denom <= guard:
-                    for k, _prod in mem:
-                        if not fixed[k]:
-                            rate = weights[k] * level
-                            flows[k].rate = rate = rate if rate > 0.0 else 0.0
-                            for j, usage in paths[k]:
-                                left = avail[j] - rate * usage
-                                avail[j] = left if left > 0.0 else 0.0
-                            fixed[k] = True
-                            unfixed_left -= 1
+                if res._avail / denom <= guard:
+                    for flow in members:
+                        if not flow._fixed:
+                            fix(flow, flow.weight * level)
+                            unfixed -= 1
                             froze = True
             if not froze:  # pragma: no cover - numerical safety net
-                for k in range(n):
-                    if not fixed[k]:
-                        rate = weights[k] * level
-                        flows[k].rate = rate = rate if rate > 0.0 else 0.0
-                        for i, usage in paths[k]:
-                            left = avail[i] - rate * usage
-                            avail[i] = left if left > 0.0 else 0.0
-                        fixed[k] = True
-                        unfixed_left -= 1
+                for flow in flows:
+                    if not flow._fixed:
+                        fix(flow, flow.weight * level)
+                        unfixed -= 1
 
-    def _assign_rates_kernel(self, dirty: List[Flow],
+    def _assign_rates_kernel(self, dirty: List[Flow], rows: List[Resource],
                              touched: Dict[Resource, None]) -> None:
         """Progressive filling with lazily refreshed row denominators.
 
         Exact twin of :meth:`_assign_rates_scalar` for large components,
         which re-sums every resource's denominator twice per round.
-        Here each row (resource) keeps its denominator and its ratio
-        ``avail / denom``; both stay valid until a freeze touches the
-        row, which only marks it stale:
+        Here each row (resource) starts from the denominator kept on it
+        and its ratio ``avail / denom``; both stay valid until a freeze
+        touches the row, which only marks it stale:
 
         * A stale row is re-summed left to right over its unfixed
           members (activation order), so the denominator has exactly
           the scalar solver's operands.  That happens when the
           bottleneck walk reaches the row or at the start of the next
-          round, at most once per pass each.
+          round, at most once per pass each.  A row whose only flow
+          froze needs no re-sum: its ratio is ∞.
         * The level is the minimum ratio, as in the scalar pass.
-        * The bottleneck walk visits rows in increasing index order:
-          those whose ratio is within ``level·(1+tol)`` at the start
-          of the pass, plus every higher row a freeze in this pass
+        * The bottleneck walk visits rows in increasing first-touch key
+          order: those whose ratio is within ``level·(1+tol)`` at the
+          start of the pass, plus every later row a freeze in this pass
           touched.  A row it does not visit started above the guard
           and was not touched before the walk passed it, so it holds
           the operands the scalar solver's in-order sweep recomputes
-          there, and that sweep skips it too.
+          there, and that sweep skips it too.  Only the walked rows
+          are ever ordered; the rest stay in traversal order.
         * Residual-capacity debits stay sequential in freeze order.
         """
-        layout = _Layout(dirty)
-        for flow in layout.empty:
-            flow.rate = flow.demand
-        flows = layout.flows
-        n = len(flows)
-        if not n:
+        live = []
+        for flow in dirty:
+            if flow.resources:
+                flow._fixed = False
+                live.append(flow)
+            else:
+                flow.rate = flow.demand
+        if not live:
             return
-        res_list = layout.resources
-        for res in res_list:
-            touched[res] = None
-        avail = [res._capacity for res in res_list]
-        paths = layout.paths
-        weights = layout.weights
-        demands = [f.demand for f in flows]
         inf = math.inf
         tol = 1 + _REL_TOL
-        members = layout.members
-        ratio = [a / d if d > 0 else inf
-                 for a, d in zip(avail, layout.denoms)]
-        fixed = [False] * n
-        stale: Set[int] = set()
-        # (ratio, row) entries, pushed on every refresh; an entry is
-        # current while ratio[row] still equals it.
-        by_ratio = [(r, i) for i, r in enumerate(ratio) if r < inf]
-        heapify(by_ratio)
-
-        def refresh(i: int) -> None:
-            d = 0.0
-            for k, prod in members[i]:
-                if not fixed[k]:
-                    d += prod
-            ratio[i] = r = avail[i] / d if d > 0 else inf
+        # (ratio, key, row) entries, pushed on every refresh; an entry
+        # is current while the row's ratio still equals it.  Keys are
+        # unique, so rows themselves are never compared.
+        by_ratio = []
+        for res in rows:
+            touched[res] = None
+            res._avail = avail = res._capacity
+            denom = res._denom
+            res._ratio = r = avail / denom if denom > 0 else inf
             if r < inf:
-                heappush(by_ratio, (r, i))
+                by_ratio.append((r, res._key, res))
+        heapify(by_ratio)
+        stale: Set[Resource] = set()
 
-        def fix(k: int, rate: float) -> None:
-            flows[k].rate = rate = rate if rate > 0.0 else 0.0
-            fixed[k] = True
-            for i, usage in paths[k]:
-                left = avail[i] - rate * usage
-                avail[i] = left if left > 0.0 else 0.0
-                stale.add(i)
+        def refresh(res: Resource) -> None:
+            d = 0.0
+            for flow, prod in res._flows.items():
+                if not flow._fixed:
+                    d += prod
+            res._ratio = r = res._avail / d if d > 0 else inf
+            if r < inf:
+                heappush(by_ratio, (r, res._key, res))
 
-        live = list(range(n))
+        def fix(flow: Flow, rate: float) -> None:
+            flow.rate = rate = rate if rate > 0.0 else 0.0
+            flow._fixed = True
+            for res, usage in zip(flow.resources, flow._usages):
+                left = res._avail - rate * usage
+                res._avail = left if left > 0.0 else 0.0
+                if len(res._flows) == 1:
+                    res._ratio = inf
+                else:
+                    stale.add(res)
+
         while live:
-            for i in stale:
-                refresh(i)
+            for res in stale:
+                refresh(res)
             stale.clear()
-            while by_ratio and ratio[by_ratio[0][1]] != by_ratio[0][0]:
+            while by_ratio and by_ratio[0][2]._ratio != by_ratio[0][0]:
                 heappop(by_ratio)
             level = by_ratio[0][0] if by_ratio else inf
             if level == inf:
                 # No binding resource: see the scalar reference.
-                for k in live:
-                    if not math.isfinite(demands[k]):
+                for flow in live:
+                    if not math.isfinite(flow.demand):
                         raise SimulationError(
-                            f"flow {flows[k].label!r} has unbounded rate")
-                    fix(k, demands[k])
+                            f"flow {flow.label!r} has unbounded rate")
+                    fix(flow, flow.demand)
                 break
 
-            limited = [k for k in live
-                       if demands[k] <= weights[k] * level * tol]
+            limited = [flow for flow in live
+                       if flow.demand <= flow.weight * level * tol]
             if limited:
-                for k in limited:
-                    fix(k, demands[k])
-                live = [k for k in live if not fixed[k]]
+                for flow in limited:
+                    fix(flow, flow.demand)
+                live = [flow for flow in live if not flow._fixed]
                 continue
 
             guard = level * tol
-            queued = set()
+            # (key, row) entries: the walk pops rows in the scalar
+            # sweep's order without sorting the rows it never reaches.
+            queued: Set[Resource] = set()
+            walk = []
             while by_ratio and by_ratio[0][0] <= guard:
-                r, i = heappop(by_ratio)
-                if ratio[i] == r:
-                    queued.add(i)
-            walk = sorted(queued)
+                r, key, res = heappop(by_ratio)
+                if res._ratio == r and res not in queued:
+                    queued.add(res)
+                    walk.append((key, res))
+            heapify(walk)
             froze = False
             while walk:
-                i = heappop(walk)
-                if i in stale:
-                    stale.discard(i)
-                    refresh(i)
-                if ratio[i] > guard:
+                key, res = heappop(walk)
+                if res in stale:
+                    stale.discard(res)
+                    refresh(res)
+                if res._ratio > guard:
                     continue
                 froze = True
-                for k, _prod in members[i]:
-                    if fixed[k]:
+                for flow in res._flows:
+                    if flow._fixed:
                         continue
-                    fix(k, weights[k] * level)
-                    for j, _usage in paths[k]:
-                        if j > i and j not in queued:
-                            queued.add(j)
-                            heappush(walk, j)
+                    fix(flow, flow.weight * level)
+                    for later in flow.resources:
+                        if later not in queued and later._key > key:
+                            queued.add(later)
+                            heappush(walk, (later._key, later))
             if not froze:  # pragma: no cover - numerical safety net
-                for k in live:
-                    if not fixed[k]:
-                        fix(k, weights[k] * level)
-            live = [k for k in live if not fixed[k]]
+                for flow in live:
+                    if not flow._fixed:
+                        fix(flow, flow.weight * level)
+            live = [flow for flow in live if not flow._fixed]
 
     def _assign_rates_scalar(self, dirty: List[Flow],
                              touched: Dict[Resource, None]) -> None:
@@ -968,7 +937,7 @@ class FluidNetwork:
         """Human-readable name of the connected component a culprit
         flow/resource belongs to, for :class:`InvariantViolation`
         diagnostics."""
-        comp = self._dirty_component(
+        comp, _rows = self._dirty_component(
             (flow,) if flow is not None else (),
             (resource,) if resource is not None else ())
         labels = [f.label or "anon" for f in comp]
@@ -977,12 +946,17 @@ class FluidNetwork:
             shown += f", … +{len(labels) - 6} more"
         return f"component[{len(labels)} flows: {shown}]"
 
-    def _check_invariants(self, dirty: List[Flow]) -> None:
+    def _check_invariants(self, dirty: List[Flow],
+                          rows: List[Resource]) -> None:
         """Verify the solver's bookkeeping after a rate solve.
 
         Cheap checks run on every solve: per-flow usage caches agree
         with the authoritative usage maps, rates are finite,
-        non-negative and demand-capped, and no resource's capacity is
+        non-negative and demand-capped, the *rows* are exactly the
+        resources the *dirty* flows cross and each row matches a
+        re-derivation from those flows' paths (flows in activation
+        order with their products, denominator re-summed left to
+        right, first-touch key), and no resource's capacity is
         exceeded (computed from :meth:`Flow.usage_on`, *not* the cache,
         so a corrupted cache is caught by the first check rather than
         masked).  Every ``SAMPLE_EVERY``-th solve additionally runs
@@ -1003,19 +977,45 @@ class FluidNetwork:
                     f"flow {flow.label or 'anon'!r} rate {rate!r} "
                     f"exceeds its demand cap {flow.demand!r} in "
                     f"{self._component_of(flow=flow)}")
-        seen_res: Set[Resource] = set()
+        derived: Dict[Resource, List[Tuple[Flow, float]]] = {}
+        keys: Dict[Resource, int] = {}
         for flow in dirty:
-            for res in flow.resources:
-                if res in seen_res:
-                    continue
-                seen_res.add(res)
-                used = sum(f.rate * f.usage_on(res)
-                           for f in self._res_flows.get(res, ()))
-                if used > res.capacity * (1.0 + _REL_TOL):
-                    self._violation(
-                        f"resource {res.name!r} over capacity: "
-                        f"{used!r} > {res.capacity!r} in "
-                        f"{self._component_of(resource=res)}")
+            weight = flow.weight
+            for pos, (res, wu) in enumerate(
+                    zip(flow.resources, flow._usages)):
+                entries = derived.get(res)
+                if entries is None:
+                    entries = derived[res] = []
+                    keys[res] = flow._seq << 32 | pos
+                entries.append((flow, weight * wu))
+        if set(rows) != derived.keys():
+            res = next(iter(set(rows) ^ derived.keys()))
+            self._violation(
+                f"rows of the dirty component disagree with its flows' "
+                f"paths at resource {res.name!r} in "
+                f"{self._component_of(resource=res)}")
+        for res, entries in derived.items():
+            denom = 0.0
+            for _flow, prod in entries:
+                denom += prod
+            if list(res._flows.items()) != entries:
+                drift = "flow list"
+            elif res._denom != denom:
+                drift = f"denominator {res._denom!r} (re-sum {denom!r})"
+            elif res._key != keys[res]:
+                drift = f"key {res._key!r} (first touch {keys[res]!r})"
+            else:
+                drift = ""
+            if drift:
+                self._violation(
+                    f"row of resource {res.name!r} is stale: {drift} in "
+                    f"{self._component_of(resource=res)}")
+            used = sum(f.rate * f.usage_on(res) for f, _prod in entries)
+            if used > res.capacity * (1.0 + _REL_TOL):
+                self._violation(
+                    f"resource {res.name!r} over capacity: "
+                    f"{used!r} > {res.capacity!r} in "
+                    f"{self._component_of(resource=res)}")
         if self._n_solves % _inv.SAMPLE_EVERY == 0 and self._flows:
             self._cross_check(dirty)
 

@@ -14,7 +14,8 @@ Four shapes:
 * :func:`churn_wide` — a few wide components (fabric-style: dozens of
   flows sharing a bus *and* a link) re-solved repeatedly under
   capacity wiggles.  Components sit above the threshold, so this
-  guards the lazy-refresh kernel, row-layout build included.
+  guards the lazy-refresh kernel and the dirty-component scan that
+  hands it the component's rows.
 * :func:`tiny_components` — 1–2-flow component churn, guarding the
   one-flow closed form, ``_assign_rates_small`` on two-flow
   components and the same-instant scan memos around them.
@@ -139,8 +140,8 @@ def churn_wide(per: int = 128, groups: int = 16, rounds: int = 6,
     all *per* flows form one connected component — large enough for the
     lazy-refresh kernel.  Each round starts the block once and then
     wiggles the trunk capacity *wiggles* times: every wiggle re-solves
-    the same membership, re-gathering the component and rebuilding the
-    kernel's row layout each time (nothing is memoised across solves).
+    the same membership, re-gathering the component each time; the
+    kernel reads the rows the flows' starts left on the resources.
     """
     sim = Simulator()
     net = FluidNetwork(sim)

@@ -11,6 +11,8 @@ Covers:
   capacity restore, deterministic same-instant completion order;
 * a property test cross-checking dirty-component rates against a
   reference global recompute on randomized flow graphs;
+* a property test pinning the solver row each resource keeps on
+  start/stop to a rebuild from the active flows' paths;
 * the engine's generation-based heap-entry reuse (``reschedule``);
 * ``P2PContext.cancel`` for unmatched requests.
 """
@@ -476,7 +478,9 @@ def test_kernel_solve_matches_scalar_bitwise(caps, specs, ops):
 
     def check(active):
         dispatched = [f.rate for f in active]
-        net._assign_rates_kernel(active, {})  # noqa: SLF001
+        dirty, rows = net._dirty_component(active, ())  # noqa: SLF001
+        assert dirty == active
+        net._assign_rates_kernel(dirty, rows, {})  # noqa: SLF001
         kernel = [f.rate for f in active]
         net._assign_rates_scalar(active, {})  # noqa: SLF001
         scalar = [f.rate for f in active]
@@ -511,9 +515,88 @@ def test_small_solve_matches_scalar_bitwise(caps, specs, ops):
                  max_live=fluid._KERNEL_MIN - 1)  # noqa: SLF001
 
 
+# ---------------------------------------------------------------------------
+# Property test: rows kept on start/stop == a from-scratch rebuild
+# ---------------------------------------------------------------------------
+
+row_op = st.tuples(
+    st.sampled_from(["start", "start", "stop_first", "stop_first", "stop",
+                     "demand", "capacity", "advance"]),
+    st.floats(min_value=0.1, max_value=100.0),   # demand / capacity / dt
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1,
+             max_size=4, unique=True),           # path / resource pick
+    st.floats(min_value=0.25, max_value=4.0),    # weight / flow pick
+    st.one_of(st.just(None),
+              st.sampled_from([0.0, 0.5, 1.5, 2.0])),  # usage on path[0]
+)
+
+
+def _rebuilt_row(net, res):
+    """*res*'s row rebuilt from the active flows' own paths: the flows
+    crossing it with their ``weight × usage`` products in activation
+    order, their left-to-right sum and the first-touch key."""
+    members, denom, key = [], 0.0, None
+    for flow in sorted(net._flows, key=lambda f: f._seq):  # noqa: SLF001
+        if res in flow.resources:
+            if key is None:
+                pos = flow.resources.index(res)
+                key = flow._seq << 32 | pos  # noqa: SLF001
+            prod = flow.weight * flow.usage_on(res)
+            members.append((flow, prod))
+            denom += prod
+    return members, denom, key
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    caps=st.lists(st.floats(min_value=20.0, max_value=400.0),
+                  min_size=6, max_size=6),
+    ops=st.lists(row_op, min_size=1, max_size=40),
+)
+def test_rows_match_rebuild_through_churn(caps, ops):
+    """Starts, stops (most of them of some row's *first* flow), demand
+    and capacity changes and time advances (with completions) over six
+    shared resources.  After every step each resource's row equals a
+    rebuild from the active flows' paths: the same flows and products
+    in activation order, the same denominator bits and the same key."""
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    res = [Resource(f"r{i}", cap) for i, cap in enumerate(caps)]
+    for kind, value, picks, weight, usage in ops:
+        live = sorted(net._flows, key=lambda f: f._seq)  # noqa: SLF001
+        if kind == "start" or not live:
+            path = [res[i] for i in picks]
+            net.transfer(
+                path, size=value * 5.0, weight=weight,
+                demand=math.inf if value > 50.0 else value,
+                usage=1.0 if usage is None or len(path) < 2
+                else {path[0]: usage})
+        elif kind == "stop_first":
+            crossing = [f for f in live if res[picks[0]] in f.resources]
+            net.stop_flow((crossing or live)[0])
+        elif kind == "stop":
+            net.stop_flow(live[int(weight * 7) % len(live)])
+        elif kind == "demand":
+            net.set_demand(live[picks[0] % len(live)], value)
+        elif kind == "capacity":
+            res[picks[0]].set_capacity(value * 4.0)
+        else:
+            sim.run(until=sim.now + value / 50.0)
+        for r in res:
+            members, denom, key = _rebuilt_row(net, r)
+            assert list(r._flows.items()) == members  # noqa: SLF001
+            assert r._denom.hex() == denom.hex()  # noqa: SLF001
+            assert r._key == key  # noqa: SLF001
+
+
 def _kernel_and_scalar(flows):
+    """Start *flows* on a fresh network, then re-solve them with the
+    kernel (on the rows their starts built) and with the reference."""
     net = FluidNetwork(Simulator())
-    net._assign_rates_kernel(flows, {})  # noqa: SLF001
+    for flow in flows:
+        net.start_flow(flow)
+    dirty, rows = net._dirty_component(flows, ())  # noqa: SLF001
+    net._assign_rates_kernel(dirty, rows, {})  # noqa: SLF001
     kernel = [f.rate for f in flows]
     net._assign_rates_scalar(flows, {})  # noqa: SLF001
     return kernel, [f.rate for f in flows]
@@ -569,9 +652,9 @@ def test_coscheduled_dragonfly_cross_checks_every_solve(monkeypatch):
     sizes = []
     solve = FluidNetwork._assign_rates  # noqa: SLF001
 
-    def counting(net, dirty, touched):
+    def counting(net, dirty, rows, touched):
         sizes.append(len(dirty))
-        return solve(net, dirty, touched)
+        return solve(net, dirty, rows, touched)
 
     monkeypatch.setattr(FluidNetwork, "_assign_rates", counting)
     specs = [AppSpec(name=f"app{i}", pattern="uniform",

@@ -109,13 +109,34 @@ def test_corrupted_usage_cache_names_component():
     assert "component[" in message
 
 
+@pytest.mark.parametrize("field", ["denominator", "key"])
+def test_corrupted_row_names_component(field):
+    """A resource's solver row that drifts from a re-derivation from
+    its flows' paths is caught on the next checked solve."""
+    sim, net = _net()
+    link, side = Resource("link", 100.0), Resource("side", 100.0)
+    victim = net.transfer([side, link], size=1e6, label="victim")
+    net.transfer([link], size=1e6, label="peer")
+    if field == "denominator":
+        link._denom = math.nextafter(link._denom, 0.0)  # noqa: SLF001
+    else:
+        link._key += 1  # noqa: SLF001 - a later path position
+    with invariant_checks():
+        with pytest.raises(InvariantViolation) as err:
+            net.set_demand(victim, 50.0)
+    message = str(err.value)
+    assert f"row of resource 'link' is stale: {field}" in message
+    assert "victim" in message
+    assert "component[" in message
+
+
 def test_rate_above_demand_cap_detected():
     sim, net = _net()
     link = Resource("link", 100.0)
     flow = net.transfer([link], size=1e6, demand=10.0, label="greedy")
     flow.rate = 20.0
     with pytest.raises(InvariantViolation, match="exceeds its demand cap"):
-        net._check_invariants([flow])  # noqa: SLF001
+        net._check_invariants([flow], [*flow.resources])  # noqa: SLF001
 
 
 def test_invalid_rates_detected():
@@ -125,7 +146,7 @@ def test_invalid_rates_detected():
     for bad in (-1.0, float("nan"), float("inf")):
         flow.rate = bad
         with pytest.raises(InvariantViolation, match="invalid rate"):
-            net._check_invariants([flow])  # noqa: SLF001
+            net._check_invariants([flow], [*flow.resources])  # noqa: SLF001
 
 
 def test_capacity_overcommit_names_resource():
@@ -135,7 +156,7 @@ def test_capacity_overcommit_names_resource():
     flow.rate = 250.0
     with pytest.raises(InvariantViolation,
                        match="'downlink' over capacity"):
-        net._check_invariants([flow])  # noqa: SLF001
+        net._check_invariants([flow], [*flow.resources])  # noqa: SLF001
 
 
 def test_sampled_global_cross_check_catches_divergence():
@@ -157,8 +178,8 @@ def test_fast_path_divergence_from_scalar_reference_detected(monkeypatch):
     reference is caught on the very solve it ran."""
     solve = FluidNetwork._assign_rates_small  # noqa: SLF001
 
-    def off_by_one_ulp(net, dirty, touched):
-        solve(net, dirty, touched)
+    def off_by_one_ulp(net, dirty, rows, touched):
+        solve(net, dirty, rows, touched)
         dirty[0].rate = math.nextafter(dirty[0].rate, 0.0)
 
     monkeypatch.setattr(FluidNetwork, "_assign_rates_small", off_by_one_ulp)
@@ -240,6 +261,6 @@ def test_violation_counter_increments():
         flow = net.transfer([Resource("link", 100.0)], size=1e6)
         flow.rate = -1.0
         with pytest.raises(InvariantViolation):
-            net._check_invariants([flow])  # noqa: SLF001
+            net._check_invariants([flow], [*flow.resources])  # noqa: SLF001
         assert tele.registry.counter(
             "fluid.invariant_violations").value == 1.0
